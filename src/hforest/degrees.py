@@ -77,37 +77,29 @@ def degree_poset(space: FiniteSpace, k: int,
     check_size_guard(space.n, k, override_size_guard)
     partitions = list(all_partitions(space.n, k))
     maps = monotone_maps(space, space, override_size_guard=True)
-    index = {a: i for i, a in enumerate(partitions)}
-    red = [
-        [
-            any(
-                all(b.labels[f[i]] == a.labels[i] for i in range(space.n))
-                for f in maps
-            )
-            for b in partitions
-        ]
-        for a in partitions
-    ]
-    assigned: dict = {}
+    index = {a.labels: i for i, a in enumerate(partitions)}
+    # red[i][j]: partition i is partition j o f for some monotone f
+    red = [[False] * len(partitions) for _ in partitions]
+    for j, b in enumerate(partitions):
+        for f in maps:
+            red[index[tuple(b.labels[x] for x in f)]][j] = True
     classes: list[list] = []
     for i, a in enumerate(partitions):
-        for rep_idx, members in enumerate(classes):
-            j = index[members[0]]
+        for members in classes:
+            j = index[members[0].labels]
             if red[i][j] and red[j][i]:
                 members.append(a)
-                assigned[i] = rep_idx
                 break
         else:
-            assigned[i] = len(classes)
             classes.append([a])
     leq = []
     for members in classes:
-        i = index[members[0]]
+        i = index[members[0].labels]
         leq.append(
             frozenset(
                 c
                 for c, other in enumerate(classes)
-                if red[i][index[other[0]]]
+                if red[i][index[other[0].labels]]
             )
         )
     return DegreePoset(space, k, tuple(tuple(c) for c in classes), tuple(leq))

@@ -33,6 +33,7 @@ from .nested import nesting_level
 
 SOFT_POINT_LIMIT = 5
 SOFT_COLOR_LIMIT = 4
+MAX_BASE_SETS = 1 << 12
 
 
 class SpaceError(ValueError):
@@ -170,13 +171,33 @@ def validate_base(family, n_points: int) -> Base:
 
 
 def up_sets(space: FiniteSpace) -> Base:
-    """The Alexandrov opens."""
-    return frozenset(
-        mask for mask in range(space.full + 1) if space.is_upset(mask)
-    )
+    """The Alexandrov opens, grown from the empty set.
+
+    A point joins an up-set once its strict up-set lies inside it; every
+    nonempty up-set arises so from the up-set left by removing one of its
+    minimal points.  The cost is O(n * |opens|).
+    """
+    found = {0}
+    todo = [0]
+    while todo:
+        u = todo.pop()
+        for i in range(space.n):
+            bit = 1 << i
+            v = u | bit
+            if v == u or space.up[i] & ~v or v in found:
+                continue
+            if len(found) == MAX_BASE_SETS:
+                raise SpaceError(
+                    f"the up-sets of this space exceed {MAX_BASE_SETS} sets")
+            found.add(v)
+            todo.append(v)
+    return frozenset(found)
 
 
 def powerset_base(space: FiniteSpace) -> Base:
+    if 1 << space.n > MAX_BASE_SETS:
+        raise SpaceError(
+            f"the powerset of {space.n} points exceeds {MAX_BASE_SETS} sets")
     return frozenset(range(space.full + 1))
 
 

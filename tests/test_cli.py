@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process via main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -92,6 +93,34 @@ def test_dh_check(capsys):
         capsys, "dh-check", "--space", "chain:2", "--base", "upsets",
         "--partition", '{"labels": [1, 0]}', "--forest", "0*1")
     assert code == 0 and json.loads(out) == {"member": False}
+
+    code, out, _ = run(
+        capsys, "dh-check", "--space", "chain:40", "--base", "upsets",
+        "--partition", json.dumps({"labels": [0] * 40}), "--forest", "0")
+    assert code == 0 and json.loads(out)["member"] is True
+
+
+def test_witness_lists_every_point(capsys):
+    code, out, _ = run(
+        capsys, "dh-check", "--space", "chain:70", "--base", "upsets",
+        "--partition", json.dumps({"labels": [0] * 70}), "--forest", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["member"] is True
+    assert [entry["set"] for entry in data["witness"]] == [list(range(70))]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dh-check", "--space", "antichain:20", "--base", "upsets",
+     "--partition", json.dumps({"labels": [0] * 20}), "--forest", "0"],
+    ["reduce-check", "--space", "chain:20", "--base", "powerset"],
+])
+def test_exponential_base_is_refused(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:") and err.count("\n") == 1
 
 
 def test_fh_check(capsys):

@@ -19,6 +19,7 @@ from hforest.space import (
     all_partitions,
     antichain_space,
     chain_space,
+    diamond_space,
 )
 
 
@@ -95,9 +96,11 @@ def test_wadge_preorder_laws_sampled():
 
 
 def test_degree_poset_consistent_with_wadge_leq():
-    for sp in oracles.all_posets_up_to(3):
-        poset = degree_poset(sp, 2)
-        assert sum(len(c) for c in poset.classes) == 2 ** sp.n
+    cases = [(sp, k) for sp in oracles.all_posets_up_to(3) for k in (2, 3)]
+    cases.append((diamond_space(), 2))
+    for sp, k in cases:
+        poset = degree_poset(sp, k)
+        assert sum(len(c) for c in poset.classes) == k ** sp.n
         for i, ci in enumerate(poset.classes):
             for a in ci:
                 assert wadge_leq(a, ci[0], sp) and wadge_leq(ci[0], a, sp)

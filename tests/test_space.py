@@ -7,6 +7,7 @@ from hforest.canonical import BAR, PLAIN, t_flat
 from hforest.forest import Tree, join, singleton
 from hforest.nested import parse_term, s_embed
 from hforest.space import (
+    MAX_BASE_SETS,
     FiniteSpace,
     KPartition,
     PFamily,
@@ -66,6 +67,13 @@ def test_up_sets_examples():
     assert up_sets(chain_space(2)) == frozenset({0, 0b10, 0b11})
     assert up_sets(antichain_space(2)) == frozenset(range(4))
     assert len(up_sets(diamond_space())) == 7
+    assert len(up_sets(chain_space(40))) == 41
+
+
+def test_up_sets_match_brute_force_filter():
+    for sp in oracles.all_posets_up_to(4):
+        expected = {m for m in range(sp.full + 1) if sp.is_upset(m)}
+        assert up_sets(sp) == expected
 
 
 def test_validate_base_and_json():
@@ -294,3 +302,9 @@ def test_size_guard():
     big = antichain_space(6)
     with pytest.raises(SpaceError):
         hierarchy_report(big, up_sets(big), [singleton(0)], 2)
+    assert len(up_sets(antichain_space(12))) == MAX_BASE_SETS
+    assert len(powerset_base(chain_space(12))) == MAX_BASE_SETS
+    with pytest.raises(SpaceError):
+        up_sets(antichain_space(13))
+    with pytest.raises(SpaceError):
+        powerset_base(chain_space(13))
