@@ -48,7 +48,6 @@ from .space import (
     base_from_json,
     chain_space,
     diamond_space,
-    dh_membership,
     dh_witness_family,
     fh_membership,
     has_reduction_property,
@@ -242,10 +241,9 @@ def cmd_dh_check(args) -> str:
     forest = load_forest(args.forest)
     if partition.n != space.n:
         raise SpaceError("partition size does not match the space")
-    member = dh_membership(partition, forest, base, space)
-    out = {"member": member}
-    if member:
-        witness = dh_witness_family(partition, forest, base, space)
+    witness = dh_witness_family(partition, forest, base, space)
+    out = {"member": witness is not None}
+    if witness is not None:
         out["witness"] = _family_json(witness)
     return json.dumps(out)
 
@@ -268,11 +266,10 @@ def cmd_reduce_check(args) -> str:
     if args.partition is not None and args.forest is not None:
         partition = load_partition(args.partition, args.k)
         forest = load_forest(args.forest)
-        member = dh_membership(partition, forest, base, space)
-        out["member"] = member
-        if member and out["reduction_property"]:
-            fam = reduce_family(
-                dh_witness_family(partition, forest, base, space), base, space)
+        fam = dh_witness_family(partition, forest, base, space)
+        out["member"] = fam is not None
+        if fam is not None and out["reduction_property"]:
+            fam = reduce_family(fam, base, space)
             out["reduced"] = is_reduced(fam)
             out["reduced_family"] = _family_json(fam)
     return json.dumps(out)
@@ -420,6 +417,9 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except (ForestError, SpaceError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except RecursionError:
+        print("domain error: input nested too deeply", file=sys.stderr)
         return EXIT_DOMAIN
     print(output)
     return EXIT_OK

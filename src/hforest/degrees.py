@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .nested import LabeledNPreorder, morphism_exists
 from .space import FiniteSpace, KPartition, SpaceError, all_partitions, check_size_guard
 
 
@@ -35,10 +36,8 @@ def wadge_leq(a: KPartition, b: KPartition, space: FiniteSpace,
     target = target_space or space
     if a.n != space.n or b.n != target.n:
         raise SpaceError("partition size does not match its space")
-    return any(
-        all(b.labels[f[i]] == a.labels[i] for i in range(space.n))
-        for f in monotone_maps(space, target, override_size_guard=True)
-    )
+    return morphism_exists(LabeledNPreorder(space.n, (space.up,), a.labels),
+                           LabeledNPreorder(target.n, (target.up,), b.labels))
 
 
 @dataclass(frozen=True)

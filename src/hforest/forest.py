@@ -72,6 +72,26 @@ def as_forest(x) -> Forest:
     return tuple(x)
 
 
+def lift(label: Label) -> Forest:
+    """A label as a forest: a color c is identified with the singleton c."""
+    return singleton(label) if isinstance(label, int) else label
+
+
+def as_label(f: Forest) -> Label:
+    """A forest as a label: a singleton bare-color forest is that color."""
+    if len(f) == 1 and isinstance(f[0].label, int) and not f[0].children:
+        return f[0].label
+    return f
+
+
+def paths(f: Forest, prefix=()) -> Iterator:
+    """Every node as (path, tree), parents first; a path is child indices."""
+    for i, t in enumerate(as_forest(f)):
+        path = prefix + (i,)
+        yield path, t
+        yield from paths(t.children, path)
+
+
 def wrap(label: Label, forest: Forest) -> Tree:
     """Adjoin a new biggest element carrying the label (p_i / the * operation)."""
     return Tree(label, as_forest(forest))
@@ -130,15 +150,11 @@ def _tree_rank(t: Tree) -> int:
 def label_leq(a: Label, b: Label) -> bool:
     if isinstance(a, int) and isinstance(b, int):
         return a == b
-    return h_leq(_lift(a), _lift(b))
+    return h_leq(lift(a), lift(b))
 
 
 def label_equiv(a: Label, b: Label) -> bool:
     return label_leq(a, b) and label_leq(b, a)
-
-
-def _lift(label: Label) -> Forest:
-    return singleton(label) if isinstance(label, int) else label
 
 
 def h_leq(f: Forest, g: Forest) -> bool:
@@ -154,14 +170,9 @@ def h_equiv(f: Forest, g: Forest) -> bool:
 @lru_cache(maxsize=None)
 def tree_leq(s: Tree, t: Tree) -> bool:
     """s <= t for trees: s embeds with its root at some node of t."""
-    return _embeds_at_root(s, t) or any(tree_leq(s, c) for c in t.children)
-
-
-@lru_cache(maxsize=None)
-def _embeds_at_root(s: Tree, t: Tree) -> bool:
-    if not label_leq(s.label, t.label):
-        return False
-    return all(tree_leq(c, t) for c in s.children)
+    if label_leq(s.label, t.label) and all(tree_leq(c, t) for c in s.children):
+        return True
+    return any(tree_leq(s, c) for c in t.children)
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +186,7 @@ def sort_key(t: Tree):
 
 def normalize_label(label: Label) -> Label:
     """Canonical label: singleton color forests collapse to the color itself."""
-    if isinstance(label, int):
-        return label
-    norm = normalize(label)
-    if len(norm) == 1 and isinstance(norm[0].label, int) and not norm[0].children:
-        return norm[0].label
-    return norm
+    return label if isinstance(label, int) else as_label(normalize(label))
 
 
 def normalize(f: Forest) -> Forest:
@@ -227,11 +233,6 @@ def _normalize_tree(t: Tree) -> Tree:
     return Tree(label, _dedupe(kids))
 
 
-def tree_components(f: Forest) -> tuple:
-    """Top-level trees of the forest."""
-    return as_forest(f)
-
-
 def is_join_irreducible(f: Forest) -> bool:
     return len(normalize(f)) == 1
 
@@ -272,10 +273,8 @@ def label_meet(a: Label, b: Label) -> Label | None:
     """Greatest lower bound of two labels, or None when only bottom is below both."""
     if isinstance(a, int) and isinstance(b, int):
         return a if a == b else None
-    m = meet(_lift(a), _lift(b))
-    if not m:
-        return None
-    return normalize_label(m)
+    m = meet(lift(a), lift(b))
+    return as_label(m) if m else None
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,12 @@ from .forest import (
     Label,
     Tree,
     as_forest,
+    as_label,
     join,
+    lift,
     normalize,
     normalize_label,
+    paths,
     singleton,
     wrap,
 )
@@ -34,13 +37,7 @@ def nesting_level(f: Forest) -> int:
     f = as_forest(f)
     if not f:
         return 0
-    return 1 + max(_label_level(t.label) for t in _all_trees(f))
-
-
-def _all_trees(f: Forest):
-    for t in as_forest(f):
-        yield t
-        yield from _all_trees(t.children)
+    return 1 + max(_label_level(t.label) for _, t in paths(f))
 
 
 def _label_level(label: Label) -> int:
@@ -55,7 +52,7 @@ def s_embed(q) -> Forest:
         q = (q,)
     if isinstance(q, tuple) and not q:
         raise ForestError("the empty forest is not a label")
-    return singleton(normalize_label(q) if not isinstance(q, int) else q)
+    return singleton(normalize_label(q))
 
 
 def l_join(p: Forest) -> Forest:
@@ -63,10 +60,7 @@ def l_join(p: Forest) -> Forest:
     p = as_forest(p)
     if nesting_level(p) < 2:
         raise ForestError("l_join needs nested labels (level >= 2)")
-    parts = []
-    for t in _all_trees(p):
-        parts.append(singleton(t.label) if isinstance(t.label, int) else t.label)
-    return join(*parts)
+    return join(*(lift(t.label) for _, t in paths(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -103,24 +97,16 @@ class LabeledNPreorder:
         ]
 
 
-def _node_paths(f: Forest, prefix=()):
-    for i, t in enumerate(as_forest(f)):
-        path = prefix + (i,)
-        yield path, t
-        yield from _node_paths(t.children, path)
-
-
 def _elements(f: Forest, depth: int):
     """Tuples of node paths, one per level, plus the final color."""
-    for path, t in _node_paths(f):
+    for path, t in paths(f):
         if depth == 1:
             if not isinstance(t.label, int):
                 raise ForestError("nesting level exceeds the requested depth")
             yield (path,), t.label
         else:
-            inner = singleton(t.label) if isinstance(t.label, int) else t.label
-            for paths, color in _elements(inner, depth - 1):
-                yield (path,) + paths, color
+            for inner, color in _elements(lift(t.label), depth - 1):
+                yield (path,) + inner, color
 
 
 def flatten(f: Forest, depth: int) -> LabeledNPreorder:
@@ -136,17 +122,17 @@ def flatten(f: Forest, depth: int) -> LabeledNPreorder:
         raise ForestError(
             f"nesting level {nesting_level(f)} exceeds depth {depth}")
     elems = list(_elements(f, depth))
-    paths = [e[0] for e in elems]
+    elem_paths = [e[0] for e in elems]
     labels = tuple(e[1] for e in elems)
     orders = []
     for level in range(depth):
         rows = []
-        for pa in paths:
+        for pa in elem_paths:
             prefix = pa[:level]
             seg = pa[level]
             mask = 0
             # a is below b when b's node path is a prefix (an ancestor)
-            for b, pb in enumerate(paths):
+            for b, pb in enumerate(elem_paths):
                 if pb[:level] == prefix and seg[: len(pb[level])] == pb[level]:
                     mask |= 1 << b
             rows.append(mask)
@@ -197,15 +183,7 @@ def _unflatten_sub(x: LabeledNPreorder, members: tuple, level: int) -> Forest:
             sub = _unflatten_sub(x, cls, level + 1)
             if sub == ():
                 raise ForestError(f"layer {level} produced an empty label")
-            # identify singleton color labels with the color itself
-            if (
-                len(sub) == 1
-                and isinstance(sub[0].label, int)
-                and not sub[0].children
-            ):
-                label = sub[0].label
-            else:
-                label = sub
+            label = as_label(sub)
         children = tuple(build(j) for j in range(n) if parent[j] == i)
         return Tree(label, children)
 
@@ -383,11 +361,9 @@ class _TermParser:
 
 
 def _as_label(f: Forest, pos: int) -> Label:
-    if len(f) == 1 and isinstance(f[0].label, int) and not f[0].children:
-        return f[0].label
     if not f:
         raise TermSyntaxError("the empty forest is not a label", pos)
-    return f
+    return as_label(f)
 
 
 def print_term(f: Forest) -> str:

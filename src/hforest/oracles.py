@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .forest import EMPTY, Forest, Tree, node_count, normalize, sort_key
+from .forest import EMPTY, Forest, Tree, as_label, normalize, sort_key
 from .nested import flatten, morphism_exists, nesting_level
 from .space import FiniteSpace
 
@@ -18,45 +18,9 @@ from .space import FiniteSpace
 # corpus enumeration
 
 
-@lru_cache(maxsize=None)
-def flat_trees(nodes: int, k: int) -> tuple:
-    """All flat trees with exactly `nodes` nodes, children canonically sorted."""
-    if nodes < 1:
-        return ()
-    return tuple(
-        Tree(color, f)
-        for color in range(k)
-        for f in flat_forests_exact(nodes - 1, k)
-    )
-
-
-@lru_cache(maxsize=None)
-def flat_forests_exact(nodes: int, k: int) -> tuple:
-    """All flat forests with exactly `nodes` nodes, one order per multiset."""
-    if nodes == 0:
-        return (EMPTY,)
-    out = []
-    trees_by_size = {m: sorted(flat_trees(m, k), key=sort_key) for m in range(1, nodes + 1)}
-
-    def extend(prefix: tuple, remaining: int, min_size: int, min_index: int):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for size in range(min_size, remaining + 1):
-            pool = trees_by_size[size]
-            start = min_index if size == min_size else 0
-            for idx in range(start, len(pool)):
-                extend(prefix + (pool[idx],), remaining - size, size, idx)
-
-    extend((), nodes, 1, 0)
-    return tuple(out)
-
-
 def flat_forests(max_nodes: int, k: int, include_empty: bool = True) -> list:
-    out = [EMPTY] if include_empty else []
-    for n in range(1, max_nodes + 1):
-        out.extend(flat_forests_exact(n, k))
-    return out
+    """All flat forests with at most `max_nodes` nodes, one order per multiset."""
+    return nested_forests(max_nodes, k, 1, include_empty)
 
 
 @lru_cache(maxsize=None)
@@ -70,11 +34,7 @@ def nested_trees(nodes: int, k: int, level: int) -> tuple:
         for size in range(1, nodes + 1):
             for f in nested_forests_exact(size, k, level - 1):
                 # skip singleton color forests: identified with the color
-                if f and not (
-                    len(f) == 1
-                    and isinstance(f[0].label, int)
-                    and not f[0].children
-                ):
+                if not isinstance(as_label(f), int):
                     labels.append((size, f))
     out = []
     for label_size, label in labels:

@@ -16,17 +16,17 @@ of the nodes whose new parts contain a point determine its class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 
 from .forest import (
     Forest,
-    ForestError,
     Tree,
     as_forest,
     h_equiv,
     h_leq,
+    lift,
     normalize,
+    paths,
     rank,
 )
 from .nested import nesting_level
@@ -330,24 +330,6 @@ class PFamily:
             raise SpaceError("family must assign a set to every node tuple")
 
 
-def _paths(f: Forest, prefix=()):
-    for i, t in enumerate(as_forest(f)):
-        path = prefix + (i,)
-        yield path, t
-        yield from _paths(t.children, path)
-
-
-def node_at(f: Forest, path) -> Tree:
-    t = as_forest(f)[path[0]]
-    for i in path[1:]:
-        t = t.children[i]
-    return t
-
-
-def _lift_label(label) -> Forest:
-    return (Tree(label),) if isinstance(label, int) else as_forest(label)
-
-
 def family_prefixes(forest: Forest, depth: int):
     """Yield (prefix, level, color or None); color set on full-depth prefixes."""
     if depth < 1:
@@ -357,7 +339,7 @@ def family_prefixes(forest: Forest, depth: int):
             f"nesting level {nesting_level(forest)} exceeds depth {depth}")
 
     def walk(f: Forest, level: int, acc: tuple):
-        for path, t in _paths(f):
+        for path, t in paths(f):
             pfx = acc + (path,)
             if level + 1 == depth:
                 color = t.label if isinstance(t.label, int) else None
@@ -366,7 +348,7 @@ def family_prefixes(forest: Forest, depth: int):
                 yield pfx, level, color
             else:
                 yield pfx, level, None
-                yield from walk(_lift_label(t.label), level + 1, pfx)
+                yield from walk(lift(t.label), level + 1, pfx)
 
     yield from walk(forest, 0, ())
 
@@ -426,86 +408,78 @@ def family_defines(fam: PFamily, space: FiniteSpace):
 # membership
 #
 # A family defines the partition A exactly when the top-level sets cover
-# the space and every deepest new part lies inside its color's class, so
-# membership reduces to a feasibility sweep computing, per subtree, the
-# achievable (union, root set) pairs.
+# the space, the label forest of every inner node has sets whose union is
+# that node's new part, and every deepest new part lies inside its color's
+# class.  A flat forest over a base B is the one-level case, over (B,).
+# So one sweep decides all three questions: per tree it maps each union
+# its sets can reach to a back-pointer (the node's set and the child
+# unions of the first derivation found).
 
 
-def dh_membership(a: KPartition, forest: Forest, base: Base,
-                  space: FiniteSpace, monotone: bool = False) -> bool:
-    """Is the partition definable by a family of base sets over the flat forest?"""
-    forest = as_forest(forest)
+def _sweep(a: KPartition, forest: Forest, levels, space: FiniteSpace):
+    """Back-pointers for the top level of the forest, one base per level.
+
+    Returns (steps, options).  steps[0] is {0: None}; steps[i] maps each
+    union the first i trees reach to the pair (union of the first i - 1
+    trees, union of the i-th tree).  options maps each tree to
+    {union: (its root's set, its children's unions)}.
+    """
+    depth = len(levels)
     color_masks = [a.mask(i) for i in range(a.k)]
-    choices = sorted(base)
+    memo: dict = {}
 
-    def tree_pairs(t: Tree):
-        if not isinstance(t.label, int):
-            raise SpaceError("dh membership needs a flat forest")
-        allowed = color_masks[t.label] if t.label < a.k else 0
-        child_states = [tree_pairs(c) for c in t.children]
-        out = set()
-        for combo in product(*child_states):
-            below = 0
-            tops = []
-            for u, b in combo:
-                below |= u
-                tops.append(b)
-            for b in choices:
-                if b & ~below & ~allowed:
-                    continue
-                if monotone and any(cb & ~b for cb in tops):
-                    continue
-                out.add((b | below, b))
-        return out
+    def feasible(f: Forest, level: int, target: int) -> bool:
+        key = (f, level, target)
+        if key not in memo:
+            memo[key] = target in sweep(f, level, target)[0][-1]
+        return memo[key]
 
-    unions = {0}
-    for t in forest:
-        unions = {u | p[0] for u in unions for p in tree_pairs(t)}
-    return space.full in unions
+    def sweep(f: Forest, level: int, target: int):
+        choices = [b for b in sorted(levels[level]) if not b & ~target]
+        deepest = level + 1 == depth
+        options: dict = {}
 
+        def tree_options(t: Tree) -> dict:
+            if t in options:
+                return options[t]
+            if deepest:
+                if not isinstance(t.label, int):
+                    raise SpaceError("non-color label at the deepest level")
+                allowed = color_masks[t.label] if t.label < a.k else 0
+            else:
+                label = lift(t.label)
+            out: dict = {}
+            for kids in product(*(tree_options(c) for c in t.children)):
+                below = 0
+                for u in kids:
+                    below |= u
+                if deepest:
+                    # the new part b & ~below must lie inside the class
+                    outside = ~(below | allowed)
+                    for b in choices:
+                        u = b | below
+                        if u not in out and not b & outside:
+                            out[u] = (b, kids)
+                else:
+                    for b in choices:
+                        u = b | below
+                        if u not in out and feasible(label, level + 1, b & ~below):
+                            out[u] = (b, kids)
+            options[t] = out
+            return out
 
-def dh_witness_family(a: KPartition, forest: Forest, base: Base,
-                      space: FiniteSpace) -> PFamily | None:
-    """A family of base sets over the flat forest defining the partition, if any."""
-    forest = as_forest(forest)
-    color_masks = [a.mask(i) for i in range(a.k)]
-    choices = sorted(base)
+        steps = [{0: None}]
+        for t in f:
+            opts = tree_options(t)
+            reach: dict = {}
+            for u in steps[-1]:
+                for v in opts:
+                    if u | v not in reach:
+                        reach[u | v] = (u, v)
+            steps.append(reach)
+        return steps, options
 
-    def tree_options(path, t: Tree):
-        """Map from achievable subtree union to one witness assignment."""
-        if not isinstance(t.label, int):
-            raise SpaceError("witness search needs a flat forest")
-        allowed = color_masks[t.label] if t.label < a.k else 0
-        child_opts = [
-            tree_options(path + (i,), c) for i, c in enumerate(t.children)
-        ]
-        out: dict = {}
-        for combo in product(*(opts.items() for opts in child_opts)):
-            below = 0
-            assignment: dict = {}
-            for u, sub in combo:
-                below |= u
-                assignment.update(sub)
-            for b in choices:
-                if b & ~below & ~allowed:
-                    continue
-                u = b | below
-                if u not in out:
-                    out[u] = {**assignment, (path,): b}
-        return out
-
-    options = {0: {}}
-    for i, t in enumerate(forest):
-        merged: dict = {}
-        for u, sub in options.items():
-            for v, tsub in tree_options((i,), t).items():
-                if u | v not in merged:
-                    merged[u | v] = {**sub, **tsub}
-        options = merged
-    witness = options.get(space.full)
-    if witness is None:
-        return None
-    return PFamily(forest, 1, witness)
+    return sweep(forest, 0, space.full)
 
 
 def fh_membership(a: KPartition, forest: Forest, omega_base,
@@ -516,41 +490,37 @@ def fh_membership(a: KPartition, forest: Forest, omega_base,
     if depth > len(omega_base):
         raise SpaceError(
             f"nesting level {depth} exceeds the {len(omega_base)}-level base")
-    color_masks = [a.mask(i) for i in range(a.k)]
+    steps, _ = _sweep(a, forest, omega_base[:depth], space)
+    return space.full in steps[-1]
 
-    @lru_cache(maxsize=None)
-    def feasible(f: Forest, level: int, target: int) -> bool:
-        """Can sets from base level `level`, inside target, be put on f's nodes
-        so that their overall union is exactly target and every node's new
-        part is realizable one level deeper (or lies in its color's class)?"""
-        choices = [b for b in sorted(omega_base[level]) if not b & ~target]
 
-        def node_ok(t: Tree, new_part: int) -> bool:
-            if level + 1 == depth:
-                if not isinstance(t.label, int):
-                    raise SpaceError("non-color label at the deepest level")
-                allowed = color_masks[t.label] if t.label < a.k else 0
-                return not new_part & ~allowed
-            return feasible(_lift_label(t.label), level + 1, new_part)
+def dh_membership(a: KPartition, forest: Forest, base: Base,
+                  space: FiniteSpace) -> bool:
+    """Is the partition definable by a family of base sets over the flat forest?"""
+    steps, _ = _sweep(a, as_forest(forest), (base,), space)
+    return space.full in steps[-1]
 
-        def tree_unions(t: Tree):
-            child_states = [tree_unions(c) for c in t.children]
-            out = set()
-            for combo in product(*child_states):
-                below = 0
-                for u in combo:
-                    below |= u
-                for b in choices:
-                    if node_ok(t, b & ~below):
-                        out.add(b | below)
-            return out
 
-        unions = {0}
-        for t in f:
-            unions = {u | v for u in unions for v in tree_unions(t)}
-        return target in unions
+def dh_witness_family(a: KPartition, forest: Forest, base: Base,
+                      space: FiniteSpace) -> PFamily | None:
+    """A family of base sets over the flat forest defining the partition, if any."""
+    forest = as_forest(forest)
+    steps, options = _sweep(a, forest, (base,), space)
+    if space.full not in steps[-1]:
+        return None
+    sets: dict = {}
 
-    return feasible(forest, 0, space.full)
+    def assign(t: Tree, path: tuple, u: int):
+        b, kids = options[t][u]
+        sets[(path,)] = b
+        for i, (c, v) in enumerate(zip(t.children, kids)):
+            assign(c, path + (i,), v)
+
+    u = space.full
+    for i in reversed(range(len(forest))):
+        u, v = steps[i + 1][u]
+        assign(forest[i], (i,), v)
+    return PFamily(forest, 1, sets)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +529,7 @@ def fh_membership(a: KPartition, forest: Forest, omega_base,
 
 def _ranked_paths(forest: Forest):
     """Paths of a flat forest with their ranks (leaf rank 0)."""
-    return [(path, t, rank((t,))) for path, t in _paths(forest)]
+    return [(path, t, rank((t,))) for path, t in paths(forest)]
 
 
 def family_to_diff_sequence(fam: PFamily) -> tuple:
@@ -605,19 +575,24 @@ def diff_sequence_to_family(seq, base: Base, space: FiniteSpace) -> PFamily:
 
 
 def reduce_pair(a: int, b: int, base: Base):
-    """Disjoint base subsets with the same union, or None."""
-    for a2 in sorted(base):
-        if a2 & ~a:
-            continue
-        b2 = (a | b) & ~a2
-        if b2 in base and not b2 & ~b:
-            return a2, b2
-    return None
+    """Disjoint base subsets a2 <= a, b2 <= b with a2 | b2 == a | b, or None.
+
+    The least a2 is chosen.  Every such a2 contains a & ~b, so a & ~b
+    itself is the answer whenever it and b lie in the base.
+    """
+    if a & ~b in base and b in base:
+        return a & ~b, b
+    union = a | b
+    a2 = min((s for s in base if not s & ~a and not union & ~s & ~b
+              and union & ~s in base), default=None)
+    return None if a2 is None else (a2, union & ~a2)
 
 
 def has_reduction_property(base: Base) -> bool:
+    # (a, b & ~a) is a reduction whenever b & ~a lies in the base
     return all(
-        reduce_pair(a, b, base) is not None for a in base for b in base
+        b & ~a in base or reduce_pair(a, b, base) is not None
+        for a in base for b in base
     )
 
 
@@ -712,7 +687,7 @@ def hierarchy_report(space: FiniteSpace, bases, forests, k: int,
     from .nested import print_term
 
     check_size_guard(space.n, k, override_size_guard)
-    omega = not isinstance(bases, frozenset)
+    levels = (bases,) if isinstance(bases, frozenset) else bases
     reps = []
     for f in forests:
         f = normalize(as_forest(f))
@@ -721,11 +696,8 @@ def hierarchy_report(space: FiniteSpace, bases, forests, k: int,
     partitions = list(all_partitions(space.n, k))
     member_sets = []
     for f in reps:
-        if omega:
-            members = {a for a in partitions if fh_membership(a, f, bases, space)}
-        else:
-            members = {a for a in partitions if dh_membership(a, f, bases, space)}
-        member_sets.append(frozenset(members))
+        member_sets.append(frozenset(
+            a for a in partitions if fh_membership(a, f, levels, space)))
 
     idx = range(len(reps))
     below = [[h_leq(reps[i], reps[j]) for j in idx] for i in idx]

@@ -204,6 +204,15 @@ def test_exit_codes(capsys):
         main(["no-such-verb"])
 
 
+def test_deep_input_is_a_domain_error(capsys):
+    node = '{"label": 0, "children": ['
+    deep_json = "[" + node * 600 + "]}" * 600 + "]"
+    for text in ("0*" * 600 + "1", deep_json):
+        code, out, err = run(capsys, "normalize", "--forest", text)
+        assert code == 1 and out == ""
+        assert err == "domain error: input nested too deeply\n"
+
+
 def test_selftest_fast(capsys):
     code, out, _ = run(capsys, "selftest", "--scope", "fast")
     assert code == 0

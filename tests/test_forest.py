@@ -25,7 +25,6 @@ from hforest.forest import (
     normalize,
     rank,
     singleton,
-    tree_components,
     validate_forest,
     wrap,
 )
@@ -176,7 +175,6 @@ def test_h_leq_reflexive_transitive_sampled():
 
 def test_components_and_irreducibility():
     two = join(singleton(0), singleton(1))
-    assert tree_components(two) == two
     assert is_join_irreducible(chain(0, 1))
     assert not is_join_irreducible(two)
 

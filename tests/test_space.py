@@ -1,11 +1,14 @@
 """Finite spaces, bases, partitions, families and hierarchy membership."""
 
+import time
+from itertools import product
+
 import pytest
 
 from hforest import oracles
 from hforest.canonical import BAR, PLAIN, t_flat
 from hforest.forest import Tree, join, singleton
-from hforest.nested import parse_term, s_embed
+from hforest.nested import nesting_level, parse_term, s_embed
 from hforest.space import (
     MAX_BASE_SETS,
     FiniteSpace,
@@ -25,6 +28,7 @@ from hforest.space import (
     diff_sequence_to_family,
     difference_kernel,
     family_defines,
+    family_prefixes,
     family_to_diff_sequence,
     fh_membership,
     has_reduction_property,
@@ -144,6 +148,11 @@ def test_dh_membership_examples():
     assert dh_membership(bottom_is_1, t1_bar, base, chain)
     constant = KPartition((1, 1), 2)
     assert dh_membership(constant, singleton(1), base, chain)
+    nested = s_embed(parse_term("0*1"))
+    with pytest.raises(SpaceError):
+        dh_membership(constant, nested, base, chain)
+    with pytest.raises(SpaceError):
+        dh_witness_family(constant, nested, base, chain)
 
 
 def test_dh_witness_matches_membership():
@@ -159,13 +168,55 @@ def test_dh_witness_matches_membership():
                     assert diag is None and part.labels == a.labels
 
 
+def _definable(forest, levels, sp):
+    """Labels of every partition that some assignment of base sets defines."""
+    prefixes = list(family_prefixes(forest, len(levels)))
+    out = set()
+    for sets in product(*(sorted(levels[lvl]) for _, lvl, _ in prefixes)):
+        fam = PFamily(forest, len(levels),
+                      {pfx: m for (pfx, _, _), m in zip(prefixes, sets)})
+        part, _ = family_defines(fam, sp)
+        if part is not None:
+            out.add(part.labels)
+    return out
+
+
+def test_membership_matches_family_enumeration():
+    for sp in oracles.all_posets_up_to(2):
+        for base in (up_sets(sp), powerset_base(sp)):
+            for f in oracles.flat_forests(3, 2, include_empty=False):
+                expected = _definable(f, (base,), sp)
+                for a in all_partitions(sp.n, 2):
+                    assert dh_membership(a, f, base, sp) == (a.labels in expected)
+                    fam = dh_witness_family(a, f, base, sp)
+                    assert (fam is not None) == (a.labels in expected)
+    chain = chain_space(2)
+    levels = (up_sets(chain), powerset_base(chain))
+    for f in oracles.nested_forests(3, 2, 2, include_empty=False):
+        depth = max(1, nesting_level(f))
+        expected = _definable(f, levels[:depth], chain)
+        for a in all_partitions(2, 2):
+            assert fh_membership(a, f, levels, chain) == (a.labels in expected)
+
+
 def test_monotone_family_sufficiency():
+    """Each node's set may be replaced by the union over its subtree."""
     for sp in oracles.all_posets_up_to(3):
         base = up_sets(sp)
         for f in oracles.flat_forests(3, 2, include_empty=False):
             for a in all_partitions(sp.n, 2):
-                assert dh_membership(a, f, base, sp) == \
-                    dh_membership(a, f, base, sp, monotone=True)
+                fam = dh_witness_family(a, f, base, sp)
+                if fam is None:
+                    continue
+                monotone = {}
+                for (p,) in fam.sets:
+                    monotone[(p,)] = 0
+                    for (q,), mask in fam.sets.items():
+                        if q[: len(p)] == p:
+                            monotone[(p,)] |= mask
+                assert set(monotone.values()) <= base
+                part, diag = family_defines(PFamily(f, 1, monotone), sp)
+                assert diag is None and part.labels == a.labels
 
 
 def test_fh_level_one_equals_dh():
@@ -227,6 +278,9 @@ def test_reduce_pair_and_property():
     assert has_reduction_property(base)
     assert has_reduction_property(powerset_base(antichain_space(3)))
     assert not has_reduction_property(up_sets(diamond_space()))
+    start = time.perf_counter()
+    assert has_reduction_property(up_sets(chain_space(400)))  # 401 sets
+    assert time.perf_counter() - start < 5
 
 
 def test_three_set_reduction_by_iteration():
