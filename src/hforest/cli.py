@@ -21,14 +21,13 @@ from .canonical import (
 from .forest import (
     Forest,
     ForestError,
-    Tree,
-    as_forest,
     forest_from_json,
     forest_to_json,
     h_leq,
     join,
     meet,
     normalize,
+    paths,
 )
 from .degrees import degree_poset, degrees_to_dot, degrees_to_json
 from .nested import (
@@ -141,23 +140,13 @@ def emit_forest(f: Forest, mode: str) -> str:
 def forest_to_dot(f: Forest) -> str:
     """One DOT node per forest node, labeled by its color or label term."""
     lines = ["digraph forest {", "  rankdir=BT;"]
-    counter = [0]
-
-    def walk(t: Tree, parent: str | None):
-        me = f"n{counter[0]}"
-        counter[0] += 1
-        if isinstance(t.label, int):
-            text = str(t.label)
-        else:
-            text = print_term(t.label)
-        lines.append(f'  {me} [label="{text}"];')
-        if parent is not None:
-            lines.append(f"  {me} -> {parent};")
-        for c in t.children:
-            walk(c, me)
-
-    for t in as_forest(f):
-        walk(t, None)
+    ids: dict = {}
+    for n, (path, t) in enumerate(paths(f)):
+        ids[path] = n
+        text = str(t.label) if isinstance(t.label, int) else print_term(t.label)
+        lines.append(f'  n{n} [label="{text}"];')
+        if len(path) > 1:
+            lines.append(f"  n{n} -> n{ids[path[:-1]]};")
     lines.append("}")
     return "\n".join(lines)
 

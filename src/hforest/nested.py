@@ -118,9 +118,9 @@ def flatten(f: Forest, depth: int) -> LabeledNPreorder:
     f = as_forest(f)
     if depth < 1:
         raise ForestError("depth must be positive")
-    if nesting_level(f) > depth:
-        raise ForestError(
-            f"nesting level {nesting_level(f)} exceeds depth {depth}")
+    nesting = nesting_level(f)
+    if nesting > depth:
+        raise ForestError(f"nesting level {nesting} exceeds depth {depth}")
     elems = list(_elements(f, depth))
     elem_paths = [e[0] for e in elems]
     labels = tuple(e[1] for e in elems)

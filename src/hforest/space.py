@@ -143,24 +143,26 @@ Base = frozenset  # frozenset[int]
 
 
 def close_base(seed, n_points: int) -> Base:
-    """Least family containing seed closed under union and intersection, with 0."""
+    """Least family containing seed closed under union and intersection, with 0.
+
+    Set lattices are distributive, so the closure is the unions of the
+    intersections of seed sets; each of the two closures is grown one set
+    at a time, so the cost follows the size of the result.
+    """
     full = (1 << n_points) - 1
-    family = {0}
+    meets = {0}
     for s in seed:
         if s & ~full:
             raise SpaceError(f"set {s:b} has points outside the space")
-        family.add(s)
-    while True:
-        new = {
-            op
-            for a in family
-            for b in family
-            for op in (a | b, a & b)
-            if op not in family
-        }
-        if not new:
-            return frozenset(family)
-        family |= new
+        meets |= {s} | {s & m for m in meets}
+        if len(meets) > MAX_BASE_SETS:
+            raise SpaceError(f"the closed base exceeds {MAX_BASE_SETS} sets")
+    joins = {0}
+    for m in meets:
+        joins |= {m | j for j in joins}
+        if len(joins) > MAX_BASE_SETS:
+            raise SpaceError(f"the closed base exceeds {MAX_BASE_SETS} sets")
+    return frozenset(joins)
 
 
 def validate_base(family, n_points: int) -> Base:
@@ -219,10 +221,7 @@ def validate_omega_base(levels, n_points: int) -> tuple:
 def base_from_json(data, n_points: int) -> Base:
     if not isinstance(data, list):
         raise SpaceError("base JSON must be a list of point lists")
-    return validate_base(
-        close_base((_mask_of(points, n_points) for points in data), n_points),
-        n_points,
-    )
+    return close_base((_mask_of(points, n_points) for points in data), n_points)
 
 
 def base_to_json(base: Base) -> list:
@@ -334,9 +333,9 @@ def family_prefixes(forest: Forest, depth: int):
     """Yield (prefix, level, color or None); color set on full-depth prefixes."""
     if depth < 1:
         raise SpaceError("depth must be positive")
-    if nesting_level(forest) > depth:
-        raise SpaceError(
-            f"nesting level {nesting_level(forest)} exceeds depth {depth}")
+    nesting = nesting_level(forest)
+    if nesting > depth:
+        raise SpaceError(f"nesting level {nesting} exceeds depth {depth}")
 
     def walk(f: Forest, level: int, acc: tuple):
         for path, t in paths(f):
@@ -353,17 +352,23 @@ def family_prefixes(forest: Forest, depth: int):
     yield from walk(forest, 0, ())
 
 
-def _new_part(fam: PFamily, prefix) -> int:
-    """The set at prefix minus the sets of the strictly smaller sibling-layer nodes."""
-    path = prefix[-1]
-    mask = fam.sets[prefix]
-    for other in fam.sets:
-        if len(other) != len(prefix) or other[:-1] != prefix[:-1]:
-            continue
-        r = other[-1]
-        if len(r) > len(path) and r[: len(path)] == path:
-            mask &= ~fam.sets[other]
-    return mask
+def _sibling_key(prefix: tuple) -> tuple:
+    """The parent's prefix, or for a layer's roots a key they alone share."""
+    return prefix[:-1] + (prefix[-1][:-1],)
+
+
+def _unions_below(sets: dict) -> dict:
+    """Per prefix, the union of the sets strictly below it in its layer.
+
+    The key a layer's roots share maps to the union of the whole layer.
+    Sorted in reverse, every prefix comes after its descendants and its
+    label layer, so one pass suffices.
+    """
+    below: dict = {}
+    for pfx in sorted(sets, reverse=True):
+        key = _sibling_key(pfx)
+        below[key] = below.get(key, 0) | sets[pfx] | below.get(pfx, 0)
+    return below
 
 
 def family_defines(fam: PFamily, space: FiniteSpace):
@@ -373,33 +378,23 @@ def family_defines(fam: PFamily, space: FiniteSpace):
     overlapping components, and that the top-level sets cover the space.
     """
     prefixes = list(family_prefixes(fam.forest, fam.depth))
-    new_parts = {pfx: _new_part(fam, pfx) for pfx, _, _ in prefixes}
+    below = _unions_below(fam.sets)
+    new_parts = {pfx: fam.sets[pfx] & ~below.get(pfx, 0)
+                 for pfx, _, _ in prefixes}
     for pfx, level, _ in prefixes:
-        if level + 1 == fam.depth:
-            continue
-        children = 0
-        for other in fam.sets:
-            if len(other) == len(pfx) + 1 and other[: len(pfx)] == pfx:
-                children |= fam.sets[other]
-        if children != new_parts[pfx]:
+        if level + 1 < fam.depth and below.get(pfx + ((),), 0) != new_parts[pfx]:
             return None, f"chain condition fails at {pfx}"
     full_prefixes = [(pfx, color) for pfx, lvl, color in prefixes
                      if lvl + 1 == fam.depth]
     for (p, cp), (q, cq) in combinations(full_prefixes, 2):
         if cp != cq and new_parts[p] & new_parts[q]:
             return None, f"components at {p} and {q} overlap with distinct colors"
-    covered = 0
-    for pfx, level, _ in prefixes:
-        if level == 0:
-            covered |= fam.sets[pfx]
+    covered = below.get(((),), 0)
     if covered != space.full:
         missing = next(i for i in range(space.n) if not covered & (1 << i))
         return None, f"point {missing} is not covered"
-    labels = []
-    for i in range(space.n):
-        bit = 1 << i
-        color = next(c for pfx, c in full_prefixes if new_parts[pfx] & bit)
-        labels.append(color)
+    labels = [next(c for pfx, c in full_prefixes if new_parts[pfx] & (1 << i))
+              for i in range(space.n)]
     k = max(max(labels), max(c for _, c in full_prefixes)) + 1
     return KPartition(tuple(labels), k), None
 
@@ -412,17 +407,35 @@ def family_defines(fam: PFamily, space: FiniteSpace):
 # that node's new part, and every deepest new part lies inside its color's
 # class.  A flat forest over a base B is the one-level case, over (B,).
 # So one sweep decides all three questions: per tree it maps each union
-# its sets can reach to a back-pointer (the node's set and the child
-# unions of the first derivation found).
+# its sets can reach to a back-pointer (the node's set and the union of
+# its children's sets from the first derivation found).
+
+
+def _fold(option_dicts) -> list:
+    """Back-pointer steps, folding in one {union: ...} dict at a time.
+
+    steps[0] is {0: None}; steps[i] maps each union the first i dicts
+    reach to its first derivation, the pair (union of the first i - 1,
+    union from the i-th).
+    """
+    steps = [{0: None}]
+    for opts in option_dicts:
+        reach: dict = {}
+        for u in steps[-1]:
+            for v in opts:
+                if u | v not in reach:
+                    reach[u | v] = (u, v)
+        steps.append(reach)
+    return steps
 
 
 def _sweep(a: KPartition, forest: Forest, levels, space: FiniteSpace):
     """Back-pointers for the top level of the forest, one base per level.
 
-    Returns (steps, options).  steps[0] is {0: None}; steps[i] maps each
-    union the first i trees reach to the pair (union of the first i - 1
-    trees, union of the i-th tree).  options maps each tree to
-    {union: (its root's set, its children's unions)}.
+    Returns (steps, options, folds).  steps is the _fold of the trees'
+    options; options maps each tree to {union: (its root's set, its
+    children's union)}; folds maps each inner tree to the _fold of its
+    children's options.
     """
     depth = len(levels)
     color_masks = [a.mask(i) for i in range(a.k)]
@@ -438,6 +451,7 @@ def _sweep(a: KPartition, forest: Forest, levels, space: FiniteSpace):
         choices = [b for b in sorted(levels[level]) if not b & ~target]
         deepest = level + 1 == depth
         options: dict = {}
+        folds: dict = {}
 
         def tree_options(t: Tree) -> dict:
             if t in options:
@@ -448,36 +462,28 @@ def _sweep(a: KPartition, forest: Forest, levels, space: FiniteSpace):
                 allowed = color_masks[t.label] if t.label < a.k else 0
             else:
                 label = lift(t.label)
+            unions = (0,)
+            if t.children:
+                folds[t] = _fold([tree_options(c) for c in t.children])
+                unions = folds[t][-1]
             out: dict = {}
-            for kids in product(*(tree_options(c) for c in t.children)):
-                below = 0
-                for u in kids:
-                    below |= u
+            for below in unions:
                 if deepest:
                     # the new part b & ~below must lie inside the class
                     outside = ~(below | allowed)
                     for b in choices:
                         u = b | below
                         if u not in out and not b & outside:
-                            out[u] = (b, kids)
+                            out[u] = (b, below)
                 else:
                     for b in choices:
                         u = b | below
                         if u not in out and feasible(label, level + 1, b & ~below):
-                            out[u] = (b, kids)
+                            out[u] = (b, below)
             options[t] = out
             return out
 
-        steps = [{0: None}]
-        for t in f:
-            opts = tree_options(t)
-            reach: dict = {}
-            for u in steps[-1]:
-                for v in opts:
-                    if u | v not in reach:
-                        reach[u | v] = (u, v)
-            steps.append(reach)
-        return steps, options
+        return _fold([tree_options(t) for t in f]), options, folds
 
     return sweep(forest, 0, space.full)
 
@@ -490,14 +496,14 @@ def fh_membership(a: KPartition, forest: Forest, omega_base,
     if depth > len(omega_base):
         raise SpaceError(
             f"nesting level {depth} exceeds the {len(omega_base)}-level base")
-    steps, _ = _sweep(a, forest, omega_base[:depth], space)
+    steps, _, _ = _sweep(a, forest, omega_base[:depth], space)
     return space.full in steps[-1]
 
 
 def dh_membership(a: KPartition, forest: Forest, base: Base,
                   space: FiniteSpace) -> bool:
     """Is the partition definable by a family of base sets over the flat forest?"""
-    steps, _ = _sweep(a, as_forest(forest), (base,), space)
+    steps, _, _ = _sweep(a, as_forest(forest), (base,), space)
     return space.full in steps[-1]
 
 
@@ -505,21 +511,21 @@ def dh_witness_family(a: KPartition, forest: Forest, base: Base,
                       space: FiniteSpace) -> PFamily | None:
     """A family of base sets over the flat forest defining the partition, if any."""
     forest = as_forest(forest)
-    steps, options = _sweep(a, forest, (base,), space)
+    steps, options, folds = _sweep(a, forest, (base,), space)
     if space.full not in steps[-1]:
         return None
     sets: dict = {}
 
-    def assign(t: Tree, path: tuple, u: int):
-        b, kids = options[t][u]
-        sets[(path,)] = b
-        for i, (c, v) in enumerate(zip(t.children, kids)):
-            assign(c, path + (i,), v)
+    def assign(f: Forest, steps: list, path: tuple, u: int):
+        for i in reversed(range(len(f))):
+            u, v = steps[i + 1][u]
+            t = f[i]
+            b, below = options[t][v]
+            sets[(path + (i,),)] = b
+            if t.children:
+                assign(t.children, folds[t], path + (i,), below)
 
-    u = space.full
-    for i in reversed(range(len(forest))):
-        u, v = steps[i + 1][u]
-        assign(forest[i], (i,), v)
+    assign(forest, steps, (), space.full)
     return PFamily(forest, 1, sets)
 
 
@@ -597,19 +603,17 @@ def has_reduction_property(base: Base) -> bool:
 
 
 def is_reduced(fam: PFamily) -> bool:
-    """Monotone, with disjoint sets on incomparable nodes (flat families)."""
+    """Each child inside its parent, siblings disjoint (flat families)."""
     if fam.depth != 1:
         raise SpaceError("the reduced predicate is implemented for flat families")
-    items = [(pfx[0], mask) for pfx, mask in fam.sets.items()]
-    for (p, mp), (q, mq) in combinations(items, 2):
-        p_below_q = len(p) > len(q) and p[: len(q)] == q
-        q_below_p = len(q) > len(p) and q[: len(p)] == p
-        if p_below_q and mp & ~mq:
+    siblings: dict = {}
+    for pfx, mask in fam.sets.items():
+        key = _sibling_key(pfx)
+        if key in fam.sets and mask & ~fam.sets[key]:
             return False
-        if q_below_p and mq & ~mp:
+        if mask & siblings.get(key, 0):
             return False
-        if not p_below_q and not q_below_p and mp & mq:
-            return False
+        siblings[key] = siblings.get(key, 0) | mask
     return True
 
 
@@ -617,58 +621,27 @@ def reduce_family(fam: PFamily, base: Base, space: FiniteSpace) -> PFamily:
     """An equivalent reduced family: monotonized, then siblings disjointified.
 
     Monotonization replaces each node's set by the union over its subtree,
-    which keeps every new part; disjointification walks the sibling groups
-    from the roots down, replaces their sets by a disjoint reduction with
-    the same union, and clips each subtree to its root's new set.
+    which keeps every new part; then each sibling group, parents' groups
+    first, is clipped to its parent's final set and its overlapping pairs
+    are replaced by disjoint reductions with the same union.
     """
     if fam.depth != 1:
         raise SpaceError("reduce_family is implemented for flat families")
     if not has_reduction_property(base):
         raise SpaceError("base lacks the reduction property")
-    sets = {}
-    for pfx in fam.sets:
-        mask = 0
-        for other, m in fam.sets.items():
-            if other[0][: len(pfx[0])] == pfx[0]:
-                mask |= m
-        sets[pfx] = mask
-
-    def disjointify(group):
-        """Make the sets of these sibling paths pairwise disjoint."""
-        while True:
-            overlap = next(
-                (
-                    (p, q)
-                    for p, q in combinations(group, 2)
-                    if sets[(p,)] & sets[(q,)]
-                ),
-                None,
-            )
-            if overlap is None:
-                return
+    below = _unions_below(fam.sets)
+    sets = {pfx: mask | below.get(pfx, 0) for pfx, mask in fam.sets.items()}
+    groups: dict = {}
+    for pfx in sorted(sets):  # a parent precedes its children's group
+        groups.setdefault(_sibling_key(pfx), []).append(pfx)
+    for key, group in groups.items():
+        if key in sets:
+            for p in group:
+                sets[p] &= sets[key]
+        while overlap := next(((p, q) for p, q in combinations(group, 2)
+                               if sets[p] & sets[q]), None):
             p, q = overlap
-            reduced = reduce_pair(sets[(p,)], sets[(q,)], base)
-            sets[(p,)], sets[(q,)] = reduced
-
-    def clip(root_path):
-        for other in sets:
-            path = other[0]
-            if len(path) > len(root_path) and path[: len(root_path)] == root_path:
-                sets[other] &= sets[(root_path,)]
-
-    def walk(paths):
-        disjointify(paths)
-        for p in paths:
-            clip(p)
-            children = [
-                other[0]
-                for other in sets
-                if len(other[0]) == len(p) + 1 and other[0][: len(p)] == p
-            ]
-            walk(children)
-
-    roots = [pfx[0] for pfx in sets if len(pfx[0]) == 1]
-    walk(roots)
+            sets[p], sets[q] = reduce_pair(sets[p], sets[q], base)
     return PFamily(fam.forest, 1, sets)
 
 

@@ -48,6 +48,17 @@ def test_parse_emit_modes(capsys):
     code, out, _ = run(capsys, "parse", "--forest", "0*1", "--emit", "dot")
     assert code == 0 and out.startswith("digraph")
 
+    code, out, _ = run(capsys, "parse", "--forest", "0*(1|2)|3", "--emit", "dot")
+    assert code == 0
+    assert out.splitlines() == [
+        "digraph forest {", "  rankdir=BT;",
+        '  n0 [label="0"];',
+        '  n1 [label="1"];', "  n1 -> n0;",
+        '  n2 [label="2"];', "  n2 -> n0;",
+        '  n3 [label="3"];',
+        "}",
+    ]
+
 
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "--forest", "1*0*1")
@@ -100,6 +111,16 @@ def test_dh_check(capsys):
     assert code == 0 and json.loads(out)["member"] is True
 
 
+def test_wide_node_dh_check(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "dh-check", "--space", "chain:8",
+        "--partition", json.dumps({"labels": [0] * 8}),
+        "--forest", "1*(0|0|0|0|0|0|0|0)")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["member"] is True
+
+
 def test_witness_lists_every_point(capsys):
     code, out, _ = run(
         capsys, "dh-check", "--space", "chain:70", "--base", "upsets",
@@ -114,6 +135,12 @@ def test_witness_lists_every_point(capsys):
     ["dh-check", "--space", "antichain:20", "--base", "upsets",
      "--partition", json.dumps({"labels": [0] * 20}), "--forest", "0"],
     ["reduce-check", "--space", "chain:20", "--base", "powerset"],
+    ["dh-check", "--space", "antichain:13",
+     "--base", json.dumps([[i] for i in range(13)]),
+     "--partition", json.dumps({"labels": [0] * 13}), "--forest", "0"],
+    ["dh-check", "--space", "antichain:20",
+     "--base", json.dumps([[i] for i in range(20)]),
+     "--partition", json.dumps({"labels": [0] * 20}), "--forest", "0"],
 ])
 def test_exponential_base_is_refused(capsys, argv):
     start = time.perf_counter()

@@ -1,7 +1,8 @@
 """Finite spaces, bases, partitions, families and hierarchy membership."""
 
+import random
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -60,11 +61,37 @@ def test_from_pairs_closure_and_antisymmetry():
         FiniteSpace.from_pairs(2, [(0, 1), (1, 0)])
 
 
+def _closure_by_rounds(seed, n_points):
+    """Reference: add every union and intersection of pairs until none is new."""
+    family = {0} | set(seed)
+    while True:
+        new = {op for a in family for b in family for op in (a | b, a & b)}
+        if new <= family:
+            return frozenset(family)
+        family |= new
+
+
 def test_close_base_examples():
     assert close_base((), 2) == frozenset({0})
     chain = chain_space(2)
     assert close_base(up_sets(chain), 2) == up_sets(chain)
     assert close_base({0b01, 0b10}, 2) == frozenset({0, 0b01, 0b10, 0b11})
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randrange(6)
+        seed = [rng.randrange(1 << n) for _ in range(rng.randrange(5))]
+        assert close_base(seed, n) == _closure_by_rounds(seed, n)
+
+
+def test_close_base_size_guard():
+    singletons = [1 << i for i in range(13)]
+    assert len(close_base(singletons[:12], 12)) == MAX_BASE_SETS
+    full = (1 << 13) - 1
+    for seed in (singletons, [full & ~s for s in singletons]):
+        start = time.perf_counter()
+        with pytest.raises(SpaceError, match="exceeds"):
+            close_base(seed, 13)
+        assert time.perf_counter() - start < 1
 
 
 def test_up_sets_examples():
@@ -84,8 +111,10 @@ def test_validate_base_and_json():
     chain = chain_space(2)
     base = up_sets(chain)
     assert validate_base(base, 2) == base
-    with pytest.raises(SpaceError):
+    with pytest.raises(SpaceError, match="not closed"):
         validate_base({0b01, 0b10}, 2)
+    with pytest.raises(SpaceError, match="outside the space"):
+        validate_base({0, 0b100}, 2)
     assert base_from_json(base_to_json(base), 2) == base
 
 
@@ -219,6 +248,33 @@ def test_monotone_family_sufficiency():
                 assert diag is None and part.labels == a.labels
 
 
+def test_wide_nodes():
+    """Many children of one node: same answers as one child, found quickly."""
+    start = time.perf_counter()
+    chain = chain_space(10)
+    base = up_sets(chain)
+    wide, narrow = parse_term("1*(" + "|".join("0" * 10) + ")"), parse_term("1*0")
+    for a in all_partitions(10, 2):
+        member = dh_membership(a, wide, base, chain)
+        assert member == dh_membership(a, narrow, base, chain)
+        fam = dh_witness_family(a, wide, base, chain)
+        assert (fam is not None) == member
+        if fam is not None:
+            part, diag = family_defines(fam, chain)
+            assert diag is None and part.labels == a.labels
+
+    chain = chain_space(6)
+    levels = validate_omega_base((frozenset({0, chain.full}), up_sets(chain)), 6)
+    wide, narrow = parse_term("s(1*(" + "|".join("0" * 8) + "))"), parse_term("s(1*0)")
+    assert len(wide[0].label[0].children) == 8
+    members = [a.labels for a in all_partitions(6, 2)
+               if fh_membership(a, wide, levels, chain)]
+    assert members == [a.labels for a in all_partitions(6, 2)
+                       if fh_membership(a, narrow, levels, chain)]
+    assert len(members) == 7  # class 1 a down-set
+    assert time.perf_counter() - start < 5
+
+
 def test_fh_level_one_equals_dh():
     chain = chain_space(2)
     levels = (up_sets(chain), powerset_base(chain))
@@ -310,6 +366,35 @@ def test_reduce_family_preserves_partition():
     assert diag is None and part.labels == a.labels
     with pytest.raises(SpaceError):
         reduce_family(fam, up_sets(diamond_space()), diamond_space())
+
+
+def _reduced_by_all_pairs(fam):
+    """Reference: monotone, with disjoint sets on incomparable nodes."""
+    items = [(pfx[0], mask) for pfx, mask in fam.sets.items()]
+    for (p, mp), (q, mq) in combinations(items, 2):
+        p_below_q = len(p) > len(q) and p[: len(q)] == q
+        q_below_p = len(q) > len(p) and q[: len(p)] == p
+        if p_below_q and mp & ~mq:
+            return False
+        if q_below_p and mq & ~mp:
+            return False
+        if not p_below_q and not q_below_p and mp & mq:
+            return False
+    return True
+
+
+def test_is_reduced_matches_all_pairs_definition():
+    seen = set()
+    for sp in oracles.all_posets_up_to(2):
+        for base in (up_sets(sp), powerset_base(sp)):
+            for f in oracles.flat_forests(3, 1, include_empty=False):
+                prefixes = [pfx for pfx, _, _ in family_prefixes(f, 1)]
+                for sets in product(sorted(base), repeat=len(prefixes)):
+                    fam = PFamily(f, 1, dict(zip(prefixes, sets)))
+                    verdict = is_reduced(fam)
+                    assert verdict == _reduced_by_all_pairs(fam)
+                    seen.add(verdict)
+    assert seen == {False, True}
 
 
 def test_preimage_closure():
