@@ -46,6 +46,7 @@ from .space import (
     antichain_space,
     base_from_json,
     chain_space,
+    check_omega_nesting,
     diamond_space,
     dh_witness_family,
     fh_membership,
@@ -56,12 +57,15 @@ from .space import (
     reduce_family,
     report_to_dot,
     up_sets,
-    validate_omega_base,
 )
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_SYNTAX = 2
+
+# Largest space a verb builds.  It admits every space in tests/ and
+# benchmarks/, of which chain_space(400) is the largest.
+MAX_SPACE_POINTS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +88,37 @@ def load_forest(value: str) -> Forest:
 
 
 def load_space(value: str) -> FiniteSpace:
-    """A space from JSON, a file, or the names chain:N / antichain:N / diamond."""
+    """A space from JSON, a file, or the names chain:N / antichain:N / diamond.
+
+    The point count is checked against MAX_SPACE_POINTS before the space is
+    built, because building and closing a space is super-quadratic in it.
+    """
     text = _read_maybe_file(value).strip()
     if text == "diamond":
         return diamond_space()
     for name, builder in (("chain", chain_space), ("antichain", antichain_space)):
         if text.startswith(name + ":"):
-            return builder(int(text[len(name) + 1:]))
-    return FiniteSpace.from_json(json.loads(text))
+            digits = text[len(name) + 1:]
+            if not (digits.isascii() and digits.isdigit()):
+                raise SpaceError(f"bad point count {digits[:20]!r}")
+            try:
+                n = int(digits)
+            except ValueError:  # longer than int() converts
+                n = MAX_SPACE_POINTS + 1
+            return builder(_point_count(n))
+    data = json.loads(text)
+    if isinstance(data, dict):
+        _point_count(data.get("points"))
+    return FiniteSpace.from_json(data)
+
+
+def _point_count(n) -> int:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise SpaceError("the point count must be a non-negative integer")
+    if n > MAX_SPACE_POINTS:
+        raise SpaceError(
+            f"the space has more than {MAX_SPACE_POINTS} points")
+    return n
 
 
 def load_base(value: str, space: FiniteSpace):
@@ -108,7 +135,8 @@ def load_omega_base(value: str, space: FiniteSpace):
     data = json.loads(text)
     if not isinstance(data, list):
         raise SpaceError("omega-base JSON must be a list of levels")
-    return validate_omega_base(
+    # base_from_json closes each level, so only the nesting is left to check
+    return check_omega_nesting(
         tuple(base_from_json(level, space.n) for level in data), space.n)
 
 

@@ -13,6 +13,7 @@ labels are compared recursively.
 from __future__ import annotations
 
 import json
+import weakref
 from functools import lru_cache
 from typing import Iterator, Union
 
@@ -22,18 +23,38 @@ class ForestError(ValueError):
 
 
 class Tree:
-    """Immutable labeled tree; hashable with a precomputed hash."""
+    """Immutable labeled tree, hash-consed: equal trees are one object.
 
-    __slots__ = ("label", "children", "_hash")
+    ``Tree(label, children)`` returns the live node with that label and
+    those children when there is one, so structural equality is identity
+    and ``==`` is the default identity test.  The hash is the structural
+    one, computed once.  A node also stores its normal form and its sort
+    key once they are first asked for; both die with the node.
 
-    def __init__(self, label: "Label", children: "Forest" = ()):
+    Construction is single-threaded by contract: two threads building
+    equal trees at the same moment could get two objects, and identity
+    equality would then be wrong.
+    """
+
+    __slots__ = ("label", "children", "_hash", "_norm", "_key", "__weakref__")
+
+    def __new__(cls, label: "Label", children: "Forest" = ()):
         if isinstance(label, list):
             label = tuple(label)
-        if not isinstance(label, (int, tuple)):
+        if isinstance(label, bool) or not isinstance(label, (int, tuple)):
             raise ForestError(f"bad label {label!r}")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "children", tuple(children))
-        object.__setattr__(self, "_hash", hash((self.label, self.children)))
+        key = (label, tuple(children))
+        t = _INTERNED.get(key)
+        if t is None:
+            t = object.__new__(cls)
+            set_slot = object.__setattr__
+            set_slot(t, "label", label)
+            set_slot(t, "children", key[1])
+            set_slot(t, "_hash", hash(key))
+            set_slot(t, "_norm", None)
+            set_slot(t, "_key", None)
+            _INTERNED[key] = t
+        return t
 
     def __setattr__(self, *args):
         raise AttributeError("Tree is immutable")
@@ -41,19 +62,17 @@ class Tree:
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tree)
-            and self._hash == other._hash
-            and self.label == other.label
-            and self.children == other.children
-        )
+    def __reduce__(self):
+        return Tree, (self.label, self.children)
 
     def __repr__(self):
         if not self.children:
             return f"Tree({self.label!r})"
         return f"Tree({self.label!r}, {self.children!r})"
 
+
+# (label, children) -> the live Tree with them; an entry leaves with its tree.
+_INTERNED: "weakref.WeakValueDictionary[tuple, Tree]" = weakref.WeakValueDictionary()
 
 Forest = tuple  # tuple[Tree, ...]
 Label = Union[int, Forest]
@@ -180,8 +199,16 @@ def tree_leq(s: Tree, t: Tree) -> bool:
 
 
 def sort_key(t: Tree):
-    lk = (0, t.label) if isinstance(t.label, int) else (1, tuple(sorted(sort_key(c) for c in t.label)))
-    return (lk, tuple(sorted(sort_key(c) for c in t.children)))
+    """Structural sort key, computed once per node."""
+    key = t._key
+    if key is None:
+        if isinstance(t.label, int):
+            lk = (0, t.label)
+        else:
+            lk = (1, tuple(sorted(sort_key(c) for c in t.label)))
+        key = (lk, tuple(sorted(sort_key(c) for c in t.children)))
+        object.__setattr__(t, "_key", key)
+    return key
 
 
 def normalize_label(label: Label) -> Label:
@@ -215,7 +242,18 @@ def _dedupe(trees: list[Tree]) -> Forest:
     return tuple(sorted(kept, key=sort_key))
 
 
+# The _norm slot of a tree that is its own normal form (a self-reference
+# would keep every normal tree alive until the cyclic collector runs).
+_NORMAL = object()
+
+
 def _normalize_tree(t: Tree) -> Tree:
+    """The normal form of one tree, computed once per node."""
+    n = t._norm
+    if n is _NORMAL:
+        return t
+    if n is not None:
+        return n
     label = normalize_label(t.label)
     kids = list(normalize(t.children))
     while True:
@@ -230,7 +268,11 @@ def _normalize_tree(t: Tree) -> Tree:
         kids = spliced
         if not changed:
             break
-    return Tree(label, _dedupe(kids))
+    n = Tree(label, _dedupe(kids))
+    object.__setattr__(n, "_norm", _NORMAL)
+    if n is not t:
+        object.__setattr__(t, "_norm", n)
+    return n
 
 
 def is_join_irreducible(f: Forest) -> bool:

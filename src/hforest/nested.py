@@ -331,11 +331,15 @@ class _TermParser:
         ch = self.peek()
         if ch == "":
             raise TermSyntaxError("unexpected end of input", self.pos)
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
                 self.pos += 1
-            return singleton(int(self.text[start:self.pos]))
+            try:
+                color = int(self.text[start:self.pos])
+            except ValueError:  # longer than int() converts
+                raise TermSyntaxError("number too long", start) from None
+            return singleton(color)
         if ch == "⊥":
             self.pos += 1
             return EMPTY

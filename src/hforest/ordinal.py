@@ -160,7 +160,7 @@ class _Parser:
 
     def parse_term(self) -> Ord:
         ch = self.peek()
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return ord_of(self.parse_nat())
         if ch != "w":
             raise OrdinalSyntaxError("expected 'w' or a number", self.pos)
@@ -187,11 +187,14 @@ class _Parser:
     def parse_nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if start == self.pos:
             raise OrdinalSyntaxError("expected a number", self.pos)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # longer than int() converts
+            raise OrdinalSyntaxError("number too long", start) from None
 
 
 def format_ordinal(a: Ord) -> str:

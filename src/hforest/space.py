@@ -209,7 +209,12 @@ def complements(base: Base, n_points: int) -> Base:
 
 
 def validate_omega_base(levels, n_points: int) -> tuple:
-    levels = tuple(validate_base(level, n_points) for level in levels)
+    return check_omega_nesting(
+        tuple(validate_base(level, n_points) for level in levels), n_points)
+
+
+def check_omega_nesting(levels: tuple, n_points: int) -> tuple:
+    """Closed levels as an omega-base: each holds the last and its complements."""
     for lower, upper in zip(levels, levels[1:]):
         if not (lower | complements(lower, n_points)) <= upper:
             raise SpaceError(

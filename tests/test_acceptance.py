@@ -8,7 +8,7 @@ from hforest import acceptance
 
 BUDGETS = {
     "A1": 60,
-    "A2": 120,
+    "A2": 60,
     "A3": 60,
     "A4": 120,
     "A5": 300,

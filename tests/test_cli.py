@@ -6,7 +6,7 @@ import time
 import pytest
 
 import hforest.acceptance
-from hforest.cli import main
+from hforest.cli import MAX_SPACE_POINTS, load_space, main
 from hforest.forest import forest_from_json, h_equiv
 from hforest.nested import parse_term
 
@@ -150,6 +150,47 @@ def test_exponential_base_is_refused(capsys, argv):
     assert err.startswith("domain error:") and err.count("\n") == 1
 
 
+def test_fh_check_closes_each_level_once(capsys):
+    # 12 singletons close to all 4096 subsets; closing those again is 4096^2 pairs
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "fh-check", "--space", "antichain:12",
+        "--omega-base", json.dumps([[[i] for i in range(12)]]),
+        "--partition", json.dumps({"labels": [0] * 12}), "--forest", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out) == {"member": True}
+
+    code, _, err = run(
+        capsys, "fh-check", "--space", "chain:2",
+        "--omega-base", json.dumps([[[], [1], [0, 1]], [[], [1], [0, 1]]]),
+        "--partition", '{"labels": [1, 0]}', "--forest", "s(0|1)")
+    assert code == 1 and "previous level and its complements" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce-check", "--space", "chain:3000"],
+    ["dh-check", "--space", "chain:3000",
+     "--partition", '{"labels": [0]}', "--forest", "0"],
+    ["fh-check", "--space", "antichain:3000", "--omega-base", "[[]]",
+     "--partition", '{"labels": [0]}', "--forest", "0"],
+    ["reduce-check", "--space", json.dumps({"points": 3000, "le": []})],
+    ["reduce-check", "--space", "chain:" + "9" * 5000],
+    ["reduce-check", "--space", "chain:x"],
+    ["reduce-check", "--space", '{"points": "3"}'],
+])
+def test_space_point_limit(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:") and err.count("\n") == 1
+
+
+def test_space_point_limit_admits_its_bound():
+    assert load_space(f"antichain:{MAX_SPACE_POINTS}").n == MAX_SPACE_POINTS
+    assert load_space(json.dumps({"points": MAX_SPACE_POINTS})).n == MAX_SPACE_POINTS
+
+
 def test_fh_check(capsys):
     levels = json.dumps([
         [[], [1], [0, 1]],
@@ -229,6 +270,19 @@ def test_exit_codes(capsys):
 
     with pytest.raises(SystemExit):
         main(["no-such-verb"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--forest", "\u00b2"],
+    ["canonical", "--alpha", "\u00b2"],
+    ["normalize", "--forest", "1" * 5000],
+    ["canonical", "--alpha", "1" * 5000],
+    ["canonical", "--alpha", "w*" + "1" * 5000],
+])
+def test_numbers_outside_ascii_or_int_are_syntax_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("syntax error:") and err.count("\n") == 1
 
 
 def test_deep_input_is_a_domain_error(capsys):

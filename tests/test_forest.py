@@ -1,11 +1,16 @@
 """Flat forests: h-preorder, normalization, lattice structure, JSON."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 from itertools import combinations
 
 import pytest
 
-from hforest import oracles
+from hforest import forest, oracles
+from hforest.canonical import CanonicalName, representative, swap_colors
 from hforest.forest import (
     EMPTY,
     ForestError,
@@ -25,9 +30,12 @@ from hforest.forest import (
     normalize,
     rank,
     singleton,
+    sort_key,
     validate_forest,
     wrap,
 )
+from hforest.nested import flatten, parse_term, unflatten
+from hforest.ordinal import OMEGA, ord_of
 
 
 def chain(*colors):
@@ -193,3 +201,54 @@ def test_json_errors():
         forest_from_json([{"children": []}])
     with pytest.raises(ForestError):
         forest_from_json([{"label": "x"}])
+
+
+def test_equal_trees_are_one_object():
+    flat = Tree(0, (Tree(1, (Tree(0),)),))
+    nested = Tree((flat,), (Tree(1),))
+    node = {"label": 0, "children": [
+        {"label": 1, "children": [{"label": 0, "children": []}]}]}
+    for built in (
+        Tree(0, [Tree(1, (Tree(0),))]),
+        parse_term("0*1*0")[0],
+        parse_term("0*0*1*0")[0].children[0],
+        forest_from_json([node])[0],
+        normalize(parse_term("0*0*1*1*0"))[0],
+        swap_colors(parse_term("1*0*1"))[0],
+        unflatten(flatten((flat,), 1))[0],
+        representative(CanonicalName("T", ord_of(2)))[0],
+        copy.deepcopy(flat),
+        pickle.loads(pickle.dumps(flat)),
+    ):
+        assert built is flat
+    assert parse_term("(0*1*0)*1")[0] is nested
+    assert normalize(parse_term("(0*1*0|0*1*0)*1"))[0] is nested
+    assert representative(CanonicalName("T", OMEGA))[0] is Tree(
+        (Tree(0, (Tree(1),)),))
+    assert "__eq__" not in Tree.__dict__
+    with pytest.raises(ForestError):
+        Tree(True)
+
+
+def test_normalize_returns_normal_trees_themselves():
+    for f in oracles.nested_forests(4, 2, 2):
+        n = normalize(f)
+        again = normalize(n)
+        assert len(again) == len(n)
+        assert all(a is b for a, b in zip(again, n))
+
+
+def test_unreferenced_tree_leaves_the_intern_table():
+    def key():
+        return (1234567, (Tree(7654321),))
+
+    t = Tree(*key())
+    sort_key(t)  # a memoized slot keeps nothing else alive
+    ref = weakref.ref(t)
+    size = len(forest._INTERNED)
+    assert forest._INTERNED.get(key()) is t
+    del t
+    gc.collect()
+    assert ref() is None
+    assert forest._INTERNED.get(key()) is None
+    assert len(forest._INTERNED) < size

@@ -21,6 +21,7 @@ from hforest.space import (
     base_from_json,
     base_to_json,
     chain_space,
+    check_omega_nesting,
     close_base,
     complements,
     diamond_space,
@@ -122,8 +123,16 @@ def test_omega_base_validation():
     chain = chain_space(2)
     levels = (up_sets(chain), powerset_base(chain))
     assert validate_omega_base(levels, 2) == levels
-    with pytest.raises(SpaceError):
+    with pytest.raises(SpaceError, match="previous level"):
         validate_omega_base((powerset_base(chain), up_sets(chain)), 2)
+    with pytest.raises(SpaceError, match="previous level"):
+        check_omega_nesting((powerset_base(chain), up_sets(chain)), 2)
+    assert check_omega_nesting(levels, 2) == levels
+    # unclosed levels get validate_base's diagnoses, not the nesting one
+    with pytest.raises(SpaceError, match="not closed"):
+        validate_omega_base(({0b01, 0b10}, powerset_base(chain)), 2)
+    with pytest.raises(SpaceError, match="outside the space"):
+        validate_omega_base((up_sets(chain), {0, 0b100}), 2)
 
 
 def test_complements():
