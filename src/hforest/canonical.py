@@ -120,18 +120,16 @@ def _t_size(a: Ord) -> int:
     """canonical_size(t_nested(a)) computed by the same case split.
 
     Labels that collapse to a bare color (exponent zero) add no nodes of
-    their own beyond the root carrying them.
+    their own beyond the root carrying them.  Each of the d copies of
+    w^g in b + w^g*d adds a root and its label, and the last one also
+    T_b | bar T_b, so the cost is O(notation) whatever the coefficients.
     """
     if a.is_finite():
         return a.to_int() + 1
     gamma, delta = a.terms[-1]
     beta = Ord(a.terms[:-1])
-    label = _t_size(gamma) if not gamma.is_zero() else 0
-    if delta == 1 and beta.is_zero():
-        return 1 + label
-    if delta == 1:
-        return 1 + label + 2 * _t_size(beta)
-    return 1 + label + _t_size(add(beta, Ord(((gamma, delta - 1),))))
+    step = 1 + (_t_size(gamma) if not gamma.is_zero() else 0)
+    return delta * step + (2 * _t_size(beta) if not beta.is_zero() else 0)
 
 
 def representative(name: CanonicalName, flat: bool = False) -> Forest:

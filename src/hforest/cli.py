@@ -3,6 +3,10 @@
 Verbs dispatch to the library; inputs are inline literals or file paths
 (sniffed by first byte), outputs are JSON, DOT or term text.  Exit codes:
 0 success, 1 domain error, 2 syntax error.
+
+A call is mostly interpreter start-up and import, so each verb imports
+the library modules it runs inside its own function and loaders; only
+``forest`` and ``nested``, which every verb runs, load at the top.
 """
 
 from __future__ import annotations
@@ -12,52 +16,20 @@ import json
 import os
 import sys
 
-from .canonical import (
-    CanonicalName,
-    classify_2forest,
-    classify_2tree_nested,
-    representative,
-)
+from .errors import ForestError, OrdinalSyntaxError, SpaceError, TermSyntaxError
 from .forest import (
     Forest,
-    ForestError,
     forest_from_json,
     forest_to_json,
     h_leq,
     join,
+    max_color,
     meet,
     normalize,
     paths,
+    validate_forest,
 )
-from .degrees import degree_poset, degrees_to_dot, degrees_to_json
-from .nested import (
-    TermSyntaxError,
-    flatten,
-    nesting_level,
-    parse_term,
-    print_term,
-)
-from .ordinal import OrdinalSyntaxError, format_ordinal, parse_ordinal
-from .space import (
-    FiniteSpace,
-    KPartition,
-    SpaceError,
-    _points_of,
-    antichain_space,
-    base_from_json,
-    chain_space,
-    check_omega_nesting,
-    diamond_space,
-    dh_witness_family,
-    fh_membership,
-    has_reduction_property,
-    hierarchy_report,
-    is_reduced,
-    powerset_base,
-    reduce_family,
-    report_to_dot,
-    up_sets,
-)
+from .nested import flatten, nesting_level, parse_term, print_term
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -66,6 +38,16 @@ EXIT_SYNTAX = 2
 # Largest space a verb builds.  It admits every space in tests/ and
 # benchmarks/, of which chain_space(400) is the largest.
 MAX_SPACE_POINTS = 512
+
+# Largest `classify --bound`: the candidate sweep grows about threefold
+# per two steps of the bound (16 takes 0.1 s, 20 takes 1.2 s).  Both
+# tests/ and benchmarks/ classify with bound 8.
+MAX_CLASSIFY_BOUND = 16
+
+# Most nodes `canonical` builds, counted by canonical._t_size before
+# anything is built.  The largest canonical forest in tests/ and
+# benchmarks/ has 14 nodes.
+MAX_CANONICAL_NODES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +69,14 @@ def load_forest(value: str) -> Forest:
     return parse_term(text)
 
 
-def load_space(value: str) -> FiniteSpace:
-    """A space from JSON, a file, or the names chain:N / antichain:N / diamond.
+def load_space(value: str):
+    """A FiniteSpace from JSON, a file, or chain:N / antichain:N / diamond.
 
     The point count is checked against MAX_SPACE_POINTS before the space is
     built, because building and closing a space is super-quadratic in it.
     """
+    from .space import FiniteSpace, antichain_space, chain_space, diamond_space
+
     text = _read_maybe_file(value).strip()
     if text == "diamond":
         return diamond_space()
@@ -121,7 +105,9 @@ def _point_count(n) -> int:
     return n
 
 
-def load_base(value: str, space: FiniteSpace):
+def load_base(value: str, space):
+    from .space import base_from_json, powerset_base, up_sets
+
     text = _read_maybe_file(value).strip()
     if text == "upsets":
         return up_sets(space)
@@ -130,7 +116,9 @@ def load_base(value: str, space: FiniteSpace):
     return base_from_json(json.loads(text), space.n)
 
 
-def load_omega_base(value: str, space: FiniteSpace):
+def load_omega_base(value: str, space):
+    from .space import base_from_json, check_omega_nesting
+
     text = _read_maybe_file(value).strip()
     data = json.loads(text)
     if not isinstance(data, list):
@@ -140,14 +128,22 @@ def load_omega_base(value: str, space: FiniteSpace):
         tuple(base_from_json(level, space.n) for level in data), space.n)
 
 
-def load_partition(value: str, k: int | None) -> KPartition:
+def load_partition(value: str, k: int | None, forest: Forest):
+    """The KPartition a forest is checked against; the forest's colors must
+    be below k.  Without k, k is the fewest colors that admit both."""
+    from .space import KPartition
+
     text = _read_maybe_file(value).strip()
     data = json.loads(text)
     if not isinstance(data, dict) or "labels" not in data:
         raise SpaceError("partition JSON must have 'labels'")
     labels = data["labels"]
+    if not isinstance(labels, list) or any(
+            isinstance(c, bool) or not isinstance(c, int) for c in labels):
+        raise SpaceError("partition labels must be a list of colors")
     if k is None:
-        k = max(labels, default=0) + 1
+        k = max(max(labels, default=0), max_color(forest)) + 1
+    validate_forest(forest, k)
     return KPartition(tuple(labels), k)
 
 
@@ -180,6 +176,8 @@ def forest_to_dot(f: Forest) -> str:
 
 
 def _family_json(fam) -> list:
+    from .space import _points_of
+
     return [
         {"prefix": [list(path) for path in pfx],
          "set": list(_points_of(mask))}
@@ -212,8 +210,14 @@ def cmd_normalize(args) -> str:
 
 
 def cmd_classify(args) -> str:
+    from .canonical import classify_2forest, classify_2tree_nested
+    from .ordinal import format_ordinal
+
     f = load_forest(args.forest)
     if args.bound is not None:
+        if args.bound > MAX_CLASSIFY_BOUND:
+            raise SpaceError(
+                f"size bound {args.bound} exceeds {MAX_CLASSIFY_BOUND}")
         name = classify_2tree_nested(f, args.bound)
         if name is None:
             raise SpaceError(
@@ -230,8 +234,15 @@ def cmd_classify(args) -> str:
 
 
 def cmd_canonical(args) -> str:
+    from .canonical import CanonicalName, _t_size, representative
+    from .ordinal import parse_ordinal
+
     alpha = parse_ordinal(args.alpha)
     kind = {"plain": "T", "bar": "Tbar", "join": "TjoinTbar"}[args.polarity]
+    nodes = _t_size(alpha) * (2 if kind == "TjoinTbar" else 1)
+    if nodes > MAX_CANONICAL_NODES:
+        raise ForestError(f"the canonical forest has {nodes} nodes, "
+                          f"more than {MAX_CANONICAL_NODES}")
     return emit_forest(representative(CanonicalName(kind, alpha)), args.emit)
 
 
@@ -252,10 +263,12 @@ def cmd_parse(args) -> str:
 
 
 def cmd_dh_check(args) -> str:
+    from .space import dh_witness_family
+
     space = load_space(args.space)
     base = load_base(args.base, space)
-    partition = load_partition(args.partition, args.k)
     forest = load_forest(args.forest)
+    partition = load_partition(args.partition, args.k, forest)
     if partition.n != space.n:
         raise SpaceError("partition size does not match the space")
     witness = dh_witness_family(partition, forest, base, space)
@@ -266,10 +279,12 @@ def cmd_dh_check(args) -> str:
 
 
 def cmd_fh_check(args) -> str:
+    from .space import fh_membership
+
     space = load_space(args.space)
     levels = load_omega_base(args.omega_base, space)
-    partition = load_partition(args.partition, args.k)
     forest = load_forest(args.forest)
+    partition = load_partition(args.partition, args.k, forest)
     if partition.n != space.n:
         raise SpaceError("partition size does not match the space")
     return json.dumps(
@@ -277,12 +292,15 @@ def cmd_fh_check(args) -> str:
 
 
 def cmd_reduce_check(args) -> str:
+    from .space import (dh_witness_family, has_reduction_property, is_reduced,
+                        reduce_family)
+
     space = load_space(args.space)
     base = load_base(args.base, space)
     out: dict = {"reduction_property": has_reduction_property(base)}
     if args.partition is not None and args.forest is not None:
-        partition = load_partition(args.partition, args.k)
         forest = load_forest(args.forest)
+        partition = load_partition(args.partition, args.k, forest)
         fam = dh_witness_family(partition, forest, base, space)
         out["member"] = fam is not None
         if fam is not None and out["reduction_property"]:
@@ -293,6 +311,8 @@ def cmd_reduce_check(args) -> str:
 
 
 def cmd_degrees(args) -> str:
+    from .degrees import degree_poset, degrees_to_dot, degrees_to_json
+
     space = load_space(args.space)
     poset = degree_poset(space, args.k,
                          override_size_guard=args.override_size_guard)
@@ -302,6 +322,8 @@ def cmd_degrees(args) -> str:
 
 
 def cmd_report(args) -> str:
+    from .space import hierarchy_report, report_to_dot
+
     space = load_space(args.space)
     if args.omega_base is not None:
         bases = load_omega_base(args.omega_base, space)
@@ -309,6 +331,8 @@ def cmd_report(args) -> str:
         bases = load_base(args.base, space)
     forests = [load_forest(v) for v in args.forest]
     k = args.k if args.k is not None else 2
+    for f in forests:
+        validate_forest(f, k)
     report = hierarchy_report(space, bases, forests, k,
                               override_size_guard=args.override_size_guard)
     if args.emit == "dot":
@@ -398,7 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
         emit_default="term")
     add("classify", cmd_classify, forest=True, emit=True, extra=(
         (("--bound",), dict(type=int, default=None,
-                            help="search bound for nested classification")),))
+                            help="search bound for nested classification, "
+                                 f"at most {MAX_CLASSIFY_BOUND}")),))
     add("canonical", cmd_canonical, emit=True, emit_default="term", extra=(
         (("--alpha",), dict(required=True, help="ordinal notation over w")),
         (("--polarity",), dict(choices=("plain", "bar", "join"),

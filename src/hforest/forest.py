@@ -15,11 +15,8 @@ from __future__ import annotations
 import json
 import weakref
 from functools import lru_cache
-from typing import Iterator, Union
 
-
-class ForestError(ValueError):
-    """Domain error on forest inputs."""
+from .errors import ForestError
 
 
 class Tree:
@@ -75,7 +72,7 @@ class Tree:
 _INTERNED: "weakref.WeakValueDictionary[tuple, Tree]" = weakref.WeakValueDictionary()
 
 Forest = tuple  # tuple[Tree, ...]
-Label = Union[int, Forest]
+Label = int | Forest
 
 EMPTY: Forest = ()
 
@@ -103,7 +100,7 @@ def as_label(f: Forest) -> Label:
     return f
 
 
-def paths(f: Forest, prefix=()) -> Iterator:
+def paths(f: Forest, prefix=()):
     """Every node as (path, tree), parents first; a path is child indices."""
     for i, t in enumerate(as_forest(f)):
         path = prefix + (i,)

@@ -10,10 +10,11 @@ h-equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
+from .errors import TermSyntaxError
 from .forest import (
     EMPTY,
     Forest,
@@ -34,16 +35,11 @@ from .forest import (
 
 def nesting_level(f: Forest) -> int:
     """0 for the empty forest; otherwise 1 + the deepest label level."""
-    f = as_forest(f)
-    if not f:
-        return 0
-    return 1 + max(_label_level(t.label) for _, t in paths(f))
-
-
-def _label_level(label: Label) -> int:
-    if isinstance(label, int):
-        return 0
-    return nesting_level(label)
+    level = 0
+    for t in as_forest(f):
+        label = 0 if isinstance(t.label, int) else nesting_level(t.label)
+        level = max(level, 1 + label, nesting_level(t.children))
+    return level
 
 
 def s_embed(q) -> Forest:
@@ -67,18 +63,15 @@ def l_join(p: Forest) -> Forest:
 # flatten / unflatten
 
 
-@dataclass(frozen=True)
-class LabeledNPreorder:
+class LabeledNPreorder(namedtuple("LabeledNPreorder", "size orders labels")):
     """Finite set with layered preorders and a color labeling.
 
     orders[i] is a tuple of int bitmasks: bit b of orders[i][a] is set
     exactly when a <=_i b, reflexivity included.  Layer i+1 only relates
-    elements equivalent at layer i.
+    elements equivalent at layer i.  labels[a] is the color of a.
     """
 
-    size: int
-    orders: tuple  # tuple[tuple[int, ...], ...] of up-set bitmask rows
-    labels: tuple  # tuple[int, ...]
+    __slots__ = ()
 
     @property
     def depth(self) -> int:
@@ -277,12 +270,6 @@ def morphism_exists(x: LabeledNPreorder, y: LabeledNPreorder) -> bool:
 # atom   := nat | '⊥' | 'bot' | 's' '(' forest ')' | '(' forest ')'
 #
 # F*G adjoins a root labeled F above G; s(F) is the singleton labeled F.
-
-
-class TermSyntaxError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
 
 
 def parse_term(text: str, k: int | None = None) -> Forest:

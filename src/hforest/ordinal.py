@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
-
-class OrdinalSyntaxError(ValueError):
-    """Raised on malformed ordinal text."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
+from .errors import OrdinalSyntaxError
 
 
 @total_ordering

@@ -29,15 +29,12 @@ from .forest import (
     paths,
     rank,
 )
+from .errors import SpaceError
 from .nested import nesting_level
 
 SOFT_POINT_LIMIT = 5
 SOFT_COLOR_LIMIT = 4
 MAX_BASE_SETS = 1 << 12
-
-
-class SpaceError(ValueError):
-    """Domain error on space, base, partition or family inputs."""
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import time
 import pytest
 
 import hforest.acceptance
-from hforest.cli import MAX_SPACE_POINTS, load_space, main
+from hforest.cli import (MAX_CANONICAL_NODES, MAX_CLASSIFY_BOUND,
+                         MAX_SPACE_POINTS, load_space, main)
 from hforest.forest import forest_from_json, h_equiv
 from hforest.nested import parse_term
 
@@ -189,6 +190,70 @@ def test_space_point_limit(capsys, argv):
 def test_space_point_limit_admits_its_bound():
     assert load_space(f"antichain:{MAX_SPACE_POINTS}").n == MAX_SPACE_POINTS
     assert load_space(json.dumps({"points": MAX_SPACE_POINTS})).n == MAX_SPACE_POINTS
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--forest", "0*1", "--bound", str(MAX_CLASSIFY_BOUND + 1)],
+    ["classify", "--forest", "0*1", "--bound", "24"],
+    ["canonical", "--alpha", "10000000"],
+    ["canonical", "--alpha", "w*10000000", "--polarity", "bar"],
+    ["canonical", "--alpha", "w^w^w*" + "9" * 40],
+    # 10,239 nodes, built from two T_b | bar T_b at each of ten steps
+    ["canonical", "--alpha", "w^9+w^8+w^7+w^6+w^5+w^4+w^3+w^2+w+1"],
+])
+def test_size_limits_refuse_before_building(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:") and err.count("\n") == 1
+
+
+def test_size_limits_admit_their_bounds(capsys):
+    code, out, _ = run(capsys, "classify", "--forest", "s(0*1)",
+                       "--bound", str(MAX_CLASSIFY_BOUND), "--emit", "term")
+    assert code == 0 and out.strip() == "T[w]"
+    # 4,607 nodes, twice over for the join of both polarities
+    assert 2 * 4607 <= MAX_CANONICAL_NODES
+    code, out, _ = run(capsys, "canonical", "--polarity", "join",
+                       "--alpha", "w^8+w^7+w^6+w^5+w^4+w^3+w^2+w+1")
+    assert code == 0 and out.strip()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dh-check", "--space", "chain:2", "--partition", '{"labels": [0, 1]}',
+     "--k", "2", "--forest", "0*5"],
+    ["fh-check", "--space", "chain:2",
+     "--omega-base", "[[[], [1], [0, 1]], [[], [0], [1], [0, 1]]]",
+     "--partition", '{"labels": [0, 1]}', "--k", "2", "--forest", "s(0*2)"],
+    ["reduce-check", "--space", "chain:2", "--partition", '{"labels": [0, 1]}',
+     "--k", "2", "--forest", "1*3"],
+])
+def test_forest_colors_must_be_below_k(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("domain error: color") and err.count("\n") == 1
+    # without --k, k is the fewest colors that admit the partition and forest
+    argv = argv[:argv.index("--k")] + argv[argv.index("--k") + 2:]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["member"] is False
+
+
+def test_report_forest_colors_must_be_below_k(capsys):
+    for k in ([], ["--k", "3"]):
+        code, out, err = run(capsys, "report", "--space", "chain:2",
+                             "--forest", "0*1", "--forest", "0*5", *k)
+        assert code == 1 and out == ""
+        assert err.startswith("domain error: color 5") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("labels", ['{"labels": 5}', '{"labels": ["a", 1]}',
+                                    '{"labels": [0.5, 1]}', '{"labels": [true, 0]}'])
+def test_partition_labels_must_be_colors(capsys, labels):
+    code, out, err = run(capsys, "dh-check", "--space", "chain:2",
+                         "--partition", labels, "--forest", "0")
+    assert code == 1 and out == ""
+    assert err == "domain error: partition labels must be a list of colors\n"
 
 
 def test_fh_check(capsys):
