@@ -36,21 +36,23 @@ class Tree:
     __slots__ = ("label", "children", "_hash", "_norm", "_key", "__weakref__")
 
     def __new__(cls, label: "Label", children: "Forest" = ()):
-        if isinstance(label, list):
-            label = tuple(label)
-        if isinstance(label, bool) or not isinstance(label, (int, tuple)):
-            raise ForestError(f"bad label {label!r}")
+        if label.__class__ is not int and label.__class__ is not tuple:
+            if isinstance(label, list):
+                label = tuple(label)
+            if isinstance(label, bool) or not isinstance(label, (int, tuple)):
+                raise ForestError(f"bad label {label!r}")
         key = (label, tuple(children))
-        t = _INTERNED.get(key)
-        if t is None:
-            t = object.__new__(cls)
-            set_slot = object.__setattr__
-            set_slot(t, "label", label)
-            set_slot(t, "children", key[1])
-            set_slot(t, "_hash", hash(key))
-            set_slot(t, "_norm", None)
-            set_slot(t, "_key", None)
-            _INTERNED[key] = t
+        ref = _REFS.get(key)
+        if ref is not None and (t := ref()) is not None:
+            return t
+        t = object.__new__(cls)
+        set_slot = object.__setattr__
+        set_slot(t, "label", label)
+        set_slot(t, "children", key[1])
+        set_slot(t, "_hash", hash(key))
+        set_slot(t, "_norm", None)
+        set_slot(t, "_key", None)
+        _INTERNED[key] = t
         return t
 
     def __setattr__(self, *args):
@@ -70,6 +72,8 @@ class Tree:
 
 # (label, children) -> the live Tree with them; an entry leaves with its tree.
 _INTERNED: "weakref.WeakValueDictionary[tuple, Tree]" = weakref.WeakValueDictionary()
+# A hit reads the table's own dict of KeyedRefs: one lookup, one weakref call.
+_REFS = _INTERNED.data
 
 Forest = tuple  # tuple[Tree, ...]
 Label = int | Forest
@@ -150,13 +154,7 @@ def rank(f: Forest) -> int:
     f = as_forest(f)
     if not f:
         raise ForestError("rank of the empty forest is undefined")
-    return max(_tree_rank(t) for t in f)
-
-
-def _tree_rank(t: Tree) -> int:
-    if not t.children:
-        return 0
-    return 1 + max(_tree_rank(c) for c in t.children)
+    return max(1 + rank(t.children) if t.children else 0 for t in f)
 
 
 # ---------------------------------------------------------------------------

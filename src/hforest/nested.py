@@ -25,11 +25,11 @@ from .forest import (
     as_label,
     join,
     lift,
+    max_color,
     normalize,
     normalize_label,
     paths,
     singleton,
-    wrap,
 )
 
 
@@ -82,24 +82,8 @@ class LabeledNPreorder(namedtuple("LabeledNPreorder", "size orders labels")):
 
     def pairs(self, i: int) -> list:
         """The relation of layer i as a sorted list of (a, b) pairs."""
-        return [
-            (a, b)
-            for a in range(self.size)
-            for b in range(self.size)
-            if self.orders[i][a] >> b & 1
-        ]
-
-
-def _elements(f: Forest, depth: int):
-    """Tuples of node paths, one per level, plus the final color."""
-    for path, t in paths(f):
-        if depth == 1:
-            if not isinstance(t.label, int):
-                raise ForestError("nesting level exceeds the requested depth")
-            yield (path,), t.label
-        else:
-            for inner, color in _elements(lift(t.label), depth - 1):
-                yield (path,) + inner, color
+        n = range(self.size)
+        return [(a, b) for a in n for b in n if self.orders[i][a] >> b & 1]
 
 
 def flatten(f: Forest, depth: int) -> LabeledNPreorder:
@@ -111,26 +95,37 @@ def flatten(f: Forest, depth: int) -> LabeledNPreorder:
     f = as_forest(f)
     if depth < 1:
         raise ForestError("depth must be positive")
-    nesting = nesting_level(f)
-    if nesting > depth:
-        raise ForestError(f"nesting level {nesting} exceeds depth {depth}")
-    elems = list(_elements(f, depth))
-    elem_paths = [e[0] for e in elems]
-    labels = tuple(e[1] for e in elems)
-    orders = []
-    for level in range(depth):
-        rows = []
-        for pa in elem_paths:
-            prefix = pa[:level]
-            seg = pa[level]
-            mask = 0
-            # a is below b when b's node path is a prefix (an ancestor)
-            for b, pb in enumerate(elem_paths):
-                if pb[:level] == prefix and seg[: len(pb[level])] == pb[level]:
-                    mask |= 1 << b
-            rows.append(mask)
-        orders.append(tuple(rows))
-    return LabeledNPreorder(len(elems), tuple(orders), labels)
+    # One walk, parents first, gives every node occurrence an id and every
+    # element its node ids by level; a <=_i b iff b's is a's or above it.
+    parent, elems, labels = [], [], []  # node -> parent; element -> ids, color
+
+    def walk(forest: Forest, level: int, outer: tuple, up: int):
+        for t in forest:
+            node = len(parent)
+            parent.append(up)
+            ids = outer + (node,)
+            if level + 1 < depth:
+                walk(lift(t.label), level + 1, ids, -1)
+            elif isinstance(t.label, int):
+                elems.append(ids)
+                labels.append(t.label)
+            else:  # a label too deep, or an empty forest as a label
+                nesting = nesting_level(f)
+                if nesting > depth:
+                    raise ForestError(f"nesting level {nesting} exceeds depth {depth}")
+                raise ForestError("nesting level exceeds the requested depth")
+            walk(t.children, level, outer, node)
+
+    walk(f, 0, (), -1)
+    # each node's members, then its ancestors' too; up[-1] == 0: no parent
+    up = [0] * (len(parent) + 1)
+    for a, ids in enumerate(elems):
+        for node in ids:
+            up[node] |= 1 << a
+    for node, p in enumerate(parent):
+        up[node] |= up[p]
+    orders = tuple(tuple(up[ids[i]] for ids in elems) for i in range(depth))
+    return LabeledNPreorder(len(elems), orders, tuple(labels))
 
 
 def unflatten(x: LabeledNPreorder) -> Forest:
@@ -267,94 +262,98 @@ def morphism_exists(x: LabeledNPreorder, y: LabeledNPreorder) -> bool:
 #
 # forest := item (('⊔'|'|') item)*
 # item   := atom ('*' item)?          -- * binds tighter, right-associative
-# atom   := nat | '⊥' | 'bot' | 's' '(' forest ')' | '(' forest ')'
+# atom   := nat | '⊥' | 'bot' | 's(' forest ')' | '(' forest ')'
 #
 # F*G adjoins a root labeled F above G; s(F) is the singleton labeled F.
 
 
+# parse_term refuses a term with more pending '*' operands plus open '(' /
+# 's(' than this, with ForestError, instead of building a tree that deep.
+MAX_TERM_DEPTH = 1000
+
+_EMPTY_LABEL = "the empty forest is not a label"
+
+
 def parse_term(text: str, k: int | None = None) -> Forest:
-    parser = _TermParser(text)
-    result = parser.parse_forest()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise TermSyntaxError("trailing input", parser.pos)
-    if k is not None:
-        from .forest import max_color
-
-        if max_color(result) >= k:
-            raise TermSyntaxError(f"color out of range for k={k}", 0)
+    """Parse a term of the grammar above in one pass, with no recursion."""
+    n = len(text)
+    pos = 0
+    frames = []  # (items, stars, is_s) of each enclosing '(' or 's('
+    items = []  # finished trees of the innermost open forest
+    stars = []  # left operands of the pending '*' in the current item
+    depth = 0  # len(stars) over all frames, plus len(frames)
+    atom = None  # the operand just read, while an operator may follow
+    while True:
+        c = text[pos] if pos < n else ""
+        if atom is None:
+            if depth > MAX_TERM_DEPTH:
+                raise ForestError("input nested too deeply")
+            if "0" <= c <= "9":
+                start = pos
+                pos += 1
+                while pos < n and "0" <= text[pos] <= "9":
+                    pos += 1
+                if pos - start == 1:
+                    color = ord(c) - 48  # one digit: no slice, no int()
+                else:
+                    try:
+                        color = int(text[start:pos])
+                    except ValueError:  # longer than int() converts
+                        raise TermSyntaxError("number too long", start) from None
+                atom = (Tree(color),)
+            elif c == "⊥" or text.startswith("bot", pos):
+                pos += 1 if c == "⊥" else 3
+                atom = EMPTY
+            elif c == "(" or c == "s" and text[pos + 1 : pos + 2] == "(":
+                frames.append((items, stars, c == "s"))
+                items, stars = [], []
+                pos += 1 if c == "(" else 2
+                depth += 1
+            elif c == "":
+                raise TermSyntaxError("unexpected end of input", pos)
+            elif c.isspace():
+                pos += 1
+            else:
+                raise TermSyntaxError(f"unexpected character {c!r}", pos)
+        elif c == "*":
+            stars.append(atom)
+            atom = None
+            pos += 1
+            depth += 1
+        elif c.isspace():
+            pos += 1
+        else:
+            # the item ends here: '*' binds right to left
+            if stars:
+                depth -= len(stars)
+                for left in reversed(stars):
+                    if not left:
+                        raise TermSyntaxError(_EMPTY_LABEL, pos)
+                    atom = (Tree(as_label(left), atom),)
+                stars = []
+            items.extend(atom)
+            atom = None
+            if c == "|" or c == "⊔":
+                pos += 1
+            elif not frames:
+                if pos != n:
+                    raise TermSyntaxError("trailing input", pos)
+                break
+            elif c != ")":
+                raise TermSyntaxError("expected ')'", pos)
+            else:
+                atom = tuple(items)
+                items, stars, is_s = frames.pop()
+                pos += 1
+                depth -= 1
+                if is_s:
+                    if not atom:
+                        raise TermSyntaxError(_EMPTY_LABEL, pos)
+                    atom = (Tree(as_label(atom)),)
+    result = tuple(items)
+    if k is not None and max_color(result) >= k:
+        raise TermSyntaxError(f"color out of range for k={k}", 0)
     return result
-
-
-class _TermParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse_forest(self) -> Forest:
-        items = [self.parse_item()]
-        while self.peek() in ("⊔", "|"):
-            self.pos += 1
-            items.append(self.parse_item())
-        return join(*items)
-
-    def parse_item(self) -> Forest:
-        left = self.parse_atom()
-        if self.peek() == "*":
-            self.pos += 1
-            right = self.parse_item()
-            return (wrap(_as_label(left, self.pos), right),)
-        return left
-
-    def parse_atom(self) -> Forest:
-        ch = self.peek()
-        if ch == "":
-            raise TermSyntaxError("unexpected end of input", self.pos)
-        if "0" <= ch <= "9":
-            start = self.pos
-            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-                self.pos += 1
-            try:
-                color = int(self.text[start:self.pos])
-            except ValueError:  # longer than int() converts
-                raise TermSyntaxError("number too long", start) from None
-            return singleton(color)
-        if ch == "⊥":
-            self.pos += 1
-            return EMPTY
-        if self.text.startswith("bot", self.pos):
-            self.pos += 3
-            return EMPTY
-        if ch == "s" and self.text[self.pos + 1 : self.pos + 2] == "(":
-            self.pos += 2
-            inner = self.parse_forest()
-            self.expect(")")
-            return (wrap(_as_label(inner, self.pos), EMPTY),)
-        if ch == "(":
-            self.pos += 1
-            inner = self.parse_forest()
-            self.expect(")")
-            return inner
-        raise TermSyntaxError(f"unexpected character {ch!r}", self.pos)
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise TermSyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-
-def _as_label(f: Forest, pos: int) -> Label:
-    if not f:
-        raise TermSyntaxError("the empty forest is not a label", pos)
-    return as_label(f)
 
 
 def print_term(f: Forest) -> str:

@@ -359,6 +359,16 @@ def test_deep_input_is_a_domain_error(capsys):
         assert err == "domain error: input nested too deeply\n"
 
 
+def test_very_deep_term_file_is_refused_at_once(capsys, tmp_path):
+    deep = tmp_path / "deep.term"
+    deep.write_text("0*" * 200_000 + "1", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normalize", "--forest", str(deep))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "domain error: input nested too deeply\n"
+
+
 def test_selftest_fast(capsys):
     code, out, _ = run(capsys, "selftest", "--scope", "fast")
     assert code == 0

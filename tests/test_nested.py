@@ -1,20 +1,29 @@
 """Iterated forests, flatten/unflatten, the term DSL."""
 
+import random
+
 import pytest
 
 from hforest import oracles
 from hforest.forest import (
     EMPTY,
+    Forest,
     ForestError,
+    Label,
     Tree,
+    as_forest,
+    as_label,
     h_equiv,
     h_leq,
     join,
+    lift,
     normalize,
+    paths,
     singleton,
     wrap,
 )
 from hforest.nested import (
+    MAX_TERM_DEPTH,
     LabeledNPreorder,
     TermSyntaxError,
     flatten,
@@ -148,3 +157,219 @@ def test_verbose_singleton_labels_are_equivalent():
     verbose = (Tree((Tree(0),)),)
     assert h_equiv(terse, verbose)
     assert normalize(verbose) == normalize(terse)
+
+
+def test_parse_depth_limit():
+    assert MAX_TERM_DEPTH == 1000
+    # the deepest terms the recursive-descent parser read under the default
+    # recursion limit still parse
+    chain = parse_term("0*" * 987 + "1")[0]
+    for _ in range(987):
+        chain = chain.children[0]
+    assert chain is Tree(1)
+    assert parse_term("(" * 329 + "0" + ")" * 329) == singleton(0)
+    assert parse_term("s(" * 329 + "0" + ")" * 329) == singleton(0)
+    mixed = "(0*" * 500 + "1" + ")" * 500
+    assert len(parse_term(mixed)) == 1
+    for text in ("0*" * 1001 + "1", "(" * 1001 + "0" + ")" * 1001,
+                 "(0*" * 501 + "1" + ")" * 501):
+        with pytest.raises(ForestError, match="input nested too deeply"):
+            parse_term(text)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the recursive-descent parser and the path-prefix
+# flatten that nested.py replaced, kept to check the new ones against.
+
+
+def reference_parse_term(text: str) -> Forest:
+    parser = _TermParser(text)
+    result = parser.parse_forest()
+    parser.skip_ws()
+    if parser.pos != len(text):
+        raise TermSyntaxError("trailing input", parser.pos)
+    return result
+
+
+class _TermParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def parse_forest(self) -> Forest:
+        items = [self.parse_item()]
+        while self.peek() in ("⊔", "|"):
+            self.pos += 1
+            items.append(self.parse_item())
+        return join(*items)
+
+    def parse_item(self) -> Forest:
+        left = self.parse_atom()
+        if self.peek() == "*":
+            self.pos += 1
+            right = self.parse_item()
+            return (wrap(_as_label(left, self.pos), right),)
+        return left
+
+    def parse_atom(self) -> Forest:
+        ch = self.peek()
+        if ch == "":
+            raise TermSyntaxError("unexpected end of input", self.pos)
+        if "0" <= ch <= "9":
+            start = self.pos
+            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+                self.pos += 1
+            try:
+                color = int(self.text[start:self.pos])
+            except ValueError:  # longer than int() converts
+                raise TermSyntaxError("number too long", start) from None
+            return singleton(color)
+        if ch == "⊥":
+            self.pos += 1
+            return EMPTY
+        if self.text.startswith("bot", self.pos):
+            self.pos += 3
+            return EMPTY
+        if ch == "s" and self.text[self.pos + 1 : self.pos + 2] == "(":
+            self.pos += 2
+            inner = self.parse_forest()
+            self.expect(")")
+            return (wrap(_as_label(inner, self.pos), EMPTY),)
+        if ch == "(":
+            self.pos += 1
+            inner = self.parse_forest()
+            self.expect(")")
+            return inner
+        raise TermSyntaxError(f"unexpected character {ch!r}", self.pos)
+
+    def expect(self, ch: str):
+        if self.peek() != ch:
+            raise TermSyntaxError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+
+def _as_label(f: Forest, pos: int) -> Label:
+    if not f:
+        raise TermSyntaxError("the empty forest is not a label", pos)
+    return as_label(f)
+
+
+def _elements(f: Forest, depth: int):
+    """Tuples of node paths, one per level, plus the final color."""
+    for path, t in paths(f):
+        if depth == 1:
+            if not isinstance(t.label, int):
+                raise ForestError("nesting level exceeds the requested depth")
+            yield (path,), t.label
+        else:
+            for inner, color in _elements(lift(t.label), depth - 1):
+                yield (path,) + inner, color
+
+
+def reference_flatten(f: Forest, depth: int) -> LabeledNPreorder:
+    f = as_forest(f)
+    if depth < 1:
+        raise ForestError("depth must be positive")
+    nesting = nesting_level(f)
+    if nesting > depth:
+        raise ForestError(f"nesting level {nesting} exceeds depth {depth}")
+    elems = list(_elements(f, depth))
+    elem_paths = [e[0] for e in elems]
+    labels = tuple(e[1] for e in elems)
+    orders = []
+    for level in range(depth):
+        rows = []
+        for pa in elem_paths:
+            prefix = pa[:level]
+            seg = pa[level]
+            mask = 0
+            # a is below b when b's node path is a prefix (an ancestor)
+            for b, pb in enumerate(elem_paths):
+                if pb[:level] == prefix and seg[: len(pb[level])] == pb[level]:
+                    mask |= 1 << b
+            rows.append(mask)
+        orders.append(tuple(rows))
+    return LabeledNPreorder(len(elems), tuple(orders), labels)
+
+
+def _flatten_outcome(flat, f, depth):
+    try:
+        return flat(f, depth)
+    except ForestError as exc:
+        return str(exc)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except TermSyntaxError as exc:
+        return "error", (str(exc), exc.pos)
+
+
+_TOKENS = (
+    "0", "1", "2", "9", " ", "\t", "\u3000", "s", "(", ")", "*", "|", "⊔",
+    "⊥", "bot", "b", "o", "t", "\u00b2", "x", "7" * 4400,
+)
+# the long number costs a 4,400-character scan: about 1.7% of texts hold it
+_WEIGHTS = (1,) * (len(_TOKENS) - 1) + (0.05,)
+
+
+def test_parser_matches_reference():
+    texts = [print_term(f) for level in (1, 2, 3)
+             for f in oracles.nested_forests(4, 2, level)]
+    rng = random.Random(7001)
+    for _ in range(100_000):
+        k = rng.randint(0, 14)
+        texts.append("".join(rng.choices(_TOKENS, _WEIGHTS, k=k)))
+    parsed, errors = 0, set()
+    for text in texts:
+        kind, got = _parse_outcome(parse_term, text)
+        ref_kind, want = _parse_outcome(reference_parse_term, text)
+        assert kind == ref_kind, text
+        if kind == "ok":
+            assert len(got) == len(want), text
+            assert all(a is b for a, b in zip(got, want)), text
+            parsed += 1
+        else:
+            assert got == want, text
+            errors.add(got[0].split(" (at")[0].split(" '")[0])
+    assert parsed > 5_000
+    assert errors == {
+        "unexpected end of input", "unexpected character", "trailing input",
+        "expected", "number too long", "the empty forest is not a label",
+    }
+
+
+def test_flatten_matches_reference():
+    cases = 0
+    corpora = [oracles.nested_forests(4, 2, level) for level in (1, 2, 3)]
+    corpora.append(oracles.nested_forests(5, 3, 1))
+    for corpus in corpora:
+        for f in corpus:
+            for depth in range(max(nesting_level(f), 1), 4):
+                got = flatten(f, depth)
+                want = reference_flatten(f, depth)
+                assert got == want and got.labels == want.labels, (f, depth)
+                cases += 1
+    assert cases > 10_000
+    with pytest.raises(ForestError, match="depth must be positive"):
+        flatten(singleton(0), 0)
+    with pytest.raises(ForestError, match="nesting level 2 exceeds depth 1"):
+        flatten(s_embed(parse_term("0*1")), 1)
+    # Tree takes the empty forest as a label: a color at the last level
+    # refuses it, a deeper level has no element under it
+    empty_label = (Tree(0, (Tree(EMPTY),)),)
+    for f, depth in ((singleton(0), 0), (s_embed(parse_term("0*1")), 2),
+                     (empty_label, 1), (empty_label, 2), ((Tree(empty_label),), 1)):
+        assert _flatten_outcome(flatten, f, depth) == _flatten_outcome(
+            reference_flatten, f, depth)
+    assert _flatten_outcome(flatten, empty_label, 1) == (
+        "nesting level exceeds the requested depth")
