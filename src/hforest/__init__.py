@@ -17,7 +17,7 @@ _EXPORTS = {
     "nested": """LabeledNPreorder TermSyntaxError flatten l_join morphism_exists
         nesting_level parse_term print_term s_embed unflatten""",
     "canonical": """BAR PLAIN CanonicalName canonical_size classify_2forest
-        classify_2tree_nested ordinal_candidates representative swap_colors
+        classify_2tree_nested representative swap_colors
         t_flat t_nested""",
     "space": """FiniteSpace KPartition PFamily SpaceError all_partitions
         antichain_space base_from_json base_to_json chain_space

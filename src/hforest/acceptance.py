@@ -8,6 +8,7 @@ corpus sizes; the smaller `fast` presets serve the quick selftest.
 from __future__ import annotations
 
 import random
+from functools import cmp_to_key
 from itertools import combinations
 
 from . import canonical, degrees, forest, nested, oracles, space
@@ -23,14 +24,24 @@ def _fail(detail: str):
 
 def a1_h_preorder_oracle(flat_nodes: int = 6, flat_k: int = 3,
                          nested_nodes: int = 5, nested_level: int = 2,
-                         nested_k: int = 2, extra_samples: int = 20000,
-                         seed: int = 0):
-    """h_leq agrees with exhaustive map enumeration, flat and nested."""
+                         nested_k: int = 2, nested_sample: int = 213,
+                         canonical_corpora=((2, 5), (3, 4)),
+                         extra_samples: int = 20000, seed: int = 0):
+    """h_leq agrees with exhaustive map enumeration, flat and nested, and
+    normal forms are one per class.
+
+    The nested pairs run over a fixed-seed sample of distinct raw forests:
+    their normal forms are too few to exercise h_leq.  Each
+    (level, max nodes) corpus in canonical_corpora, at nested_k colors,
+    checks every forest against its normal form and every two distinct
+    normal forms against each other, under oracle_h_leq.
+    """
     checked = 0
     jobs = [
         (oracles.normalized_corpus(oracles.flat_forests(flat_nodes, flat_k)), 1),
-        (oracles.normalized_corpus(
-            oracles.nested_forests(nested_nodes, nested_k, nested_level)),
+        (oracles.sample_forests(
+            oracles.nested_forests(nested_nodes, nested_k, nested_level),
+            nested_sample, seed),
          nested_level),
     ]
     for corpus, depth in jobs:
@@ -40,6 +51,21 @@ def a1_h_preorder_oracle(flat_nodes: int = 6, flat_k: int = 3,
                 if h_leq(f, g) != morphism_exists(flats[i], flats[j]):
                     return _fail(
                         f"disagreement on {print_term(f)} vs {print_term(g)}")
+                checked += 1
+    equiv = oracles.oracle_h_equiv
+    for level, nodes in canonical_corpora:
+        corpus = oracles.nested_forests(nodes, nested_k, level)
+        normal = [normalize(f) for f in corpus]
+        for f, n in zip(corpus, normal):
+            if not equiv(f, n):
+                return _fail(f"{print_term(f)} is not equivalent to its normal form")
+            checked += 1
+        forms = list(dict.fromkeys(normal))
+        for i, f in enumerate(forms):
+            for g in forms[i + 1:]:
+                if equiv(f, g):
+                    return _fail(
+                        f"two normal forms of one class: {print_term(f)}, {print_term(g)}")
                 checked += 1
     rng = random.Random(seed)
     pool = oracles.nested_forests(nested_nodes, 3, nested_level)
@@ -53,18 +79,44 @@ def a1_h_preorder_oracle(flat_nodes: int = 6, flat_k: int = 3,
 
 
 def a2_lattice_laws(corpus_nodes: int = 5, universe_nodes: int = 6,
-                    k: int = 3, triples: int = 1000, seed: int = 2):
+                    k: int = 3, nested_nodes: int = 4, nested_level: int = 2,
+                    nested_pairs: int = 40000, triples: int = 1000,
+                    seed: int = 2):
     """join is the lub and meet the glb among all enumerated candidate bounds.
 
-    The authority here is the exhaustive candidate universe; the pairwise
-    comparisons rely on h_leq, whose agreement with map enumeration is
-    itself checked by the A1 sweep over the same universe.
+    Two universes serve: flat forests of up to universe_nodes nodes, with
+    all pairs of those of up to corpus_nodes, and every class of nested
+    forests of up to nested_nodes nodes, with a fixed-seed sample of
+    nested_pairs distinct pairs.  The authority is the exhaustive candidate
+    universe; the pairwise comparisons rely on h_leq, whose agreement with
+    map enumeration is itself checked by A1.
     """
-    universe = oracles.normalized_corpus(
-        oracles.flat_forests(universe_nodes, k))
+    flat = oracles.normalized_corpus(oracles.flat_forests(universe_nodes, k))
+    corpus = [f for f in flat if node_count(f) <= corpus_nodes]
+    nested_universe = oracles.normalized_corpus(
+        oracles.nested_forests(nested_nodes, k, nested_level))
+    n = len(nested_universe)
+    sample = random.Random(seed).sample(range(n * n), min(nested_pairs, n * n))
+    jobs = [
+        (flat, corpus, [(f, g) for f in corpus for g in corpus]),
+        (nested_universe, nested_universe,
+         [(nested_universe[i // n], nested_universe[i % n]) for i in sample]),
+    ]
+    rng = random.Random(seed)
+    for universe, corpus, pairs in jobs:
+        failure = _lattice_failure(universe, corpus, pairs, triples, rng)
+        if failure:
+            return _fail(failure)
+    return True, (
+        f"lub/glb of {len(jobs[0][2])} flat and {len(sample)} nested pairs "
+        f"verified against {len(flat)}- and {n}-element candidate universes; "
+        f"distributivity on {triples} triples each")
+
+
+def _lattice_failure(universe, corpus, pairs, triples, rng):
+    """Why meet and join fail as glb and lub on the pairs, or None."""
     bounds = oracles.BoundOracle(universe, h_leq)
     index = bounds.index
-    corpus = [f for f in universe if node_count(f) <= corpus_nodes]
 
     def candidates_ok(h, common, direction):
         """Every universe element indexed in `common` compares with h."""
@@ -81,34 +133,25 @@ def a2_lattice_laws(corpus_nodes: int = 5, universe_nodes: int = 6,
                 return False
         return True
 
-    for f in corpus:
-        for g in corpus:
-            i, j = index[f], index[g]
-            m = meet(f, g)
-            if not h_leq(m, f) or not h_leq(m, g):
-                return _fail(
-                    f"meet not a lower bound: {print_term(f)} / {print_term(g)}")
-            if not candidates_ok(m, bounds.below[i] & bounds.below[j], "below"):
-                return _fail(
-                    f"meet not greatest: {print_term(f)} / {print_term(g)}")
-            u = join(f, g)
-            if not h_leq(f, u) or not h_leq(g, u):
-                return _fail(
-                    f"join not an upper bound: {print_term(f)} / {print_term(g)}")
-            if not candidates_ok(u, bounds.above[i] & bounds.above[j], "above"):
-                return _fail(
-                    f"join not least: {print_term(f)} / {print_term(g)}")
-    rng = random.Random(seed)
+    for f, g in pairs:
+        i, j = index[f], index[g]
+        m = meet(f, g)
+        if not h_leq(m, f) or not h_leq(m, g):
+            return f"meet not a lower bound: {print_term(f)} / {print_term(g)}"
+        if not candidates_ok(m, bounds.below[i] & bounds.below[j], "below"):
+            return f"meet not greatest: {print_term(f)} / {print_term(g)}"
+        u = join(f, g)
+        if not h_leq(f, u) or not h_leq(g, u):
+            return f"join not an upper bound: {print_term(f)} / {print_term(g)}"
+        if not candidates_ok(u, bounds.above[i] & bounds.above[j], "above"):
+            return f"join not least: {print_term(f)} / {print_term(g)}"
     for _ in range(triples):
         f, g, h = (rng.choice(corpus) for _ in range(3))
         if not h_equiv(meet(f, join(g, h)), join(meet(f, g), meet(f, h))):
-            return _fail("distributivity fails on a sampled triple")
+            return "distributivity fails on a sampled triple"
         if not h_equiv(join(f, meet(g, h)), meet(join(f, g), join(f, h))):
-            return _fail("dual distributivity fails on a sampled triple")
-    return True, (
-        f"lub/glb of {len(corpus)}^2 pairs verified against a "
-        f"{len(universe)}-element candidate universe; "
-        f"distributivity on {triples} triples")
+            return "dual distributivity fails on a sampled triple"
+    return None
 
 
 def a3_canonical_flat(max_m: int = 6, samples: int = 500, seed: int = 3):
@@ -171,10 +214,18 @@ def _sequences(base, n):
 
 
 def a5_canonical_nested(max_terms: int = 2, exp_depth: int = 2,
-                        max_coeff: int = 2):
-    """Ordering and meet laws of the nested canonical family on the fragment."""
+                        max_coeff: int = 2, classify_bound: int = 16,
+                        nested_classes=((2, 5), (3, 4)), search_bound: int = 12):
+    """Ordering and meet laws of the nested canonical family on the fragment,
+    and the names classify_2tree_nested reads off normal forms.
+
+    Every notation of canonical size up to classify_bound is named, in
+    both polarities, exactly at its own size and not below it.  On the
+    classes of 2-forests of each (level, max nodes) in nested_classes, the
+    names agree with the oracle search over notations at search_bound.
+    """
     frag = sorted(_ordinal_fragment(exp_depth, max_terms, max_coeff),
-                  key=canonical._OrdKey)
+                  key=cmp_to_key(cmp_ord))
     for a in frag:
         ta = canonical.t_nested(a, canonical.PLAIN)
         tb = canonical.t_nested(a, canonical.BAR)
@@ -195,7 +246,28 @@ def a5_canonical_nested(max_terms: int = 2, exp_depth: int = 2,
             if not h_leq(both, tb) or h_leq(tb, both):
                 return _fail(f"T_{a}|dual not strictly below T_{b}")
             pairs += 1
-    return True, f"{len(frag)} notations, {pairs} ordered pairs verified"
+    notations = oracles.ordinal_candidates(classify_bound)
+    for a in notations:
+        size = canonical._t_size(a)
+        for kind, polarity in (("T", canonical.PLAIN), ("Tbar", canonical.BAR)):
+            t = canonical.t_nested(a, polarity)
+            if canonical.classify_2tree_nested(t, size) != canonical.CanonicalName(kind, a):
+                return _fail(f"{kind}[{a}] is misnamed at its size bound {size}")
+            if canonical.classify_2tree_nested(t, size - 1) is not None:
+                return _fail(f"{kind}[{a}] is named below its size bound {size}")
+    classes = named = 0
+    for level, nodes in nested_classes:
+        for f in oracles.normalized_corpus(
+                oracles.nested_forests(nodes, 2, level, include_empty=False)):
+            name = canonical.classify_2tree_nested(f, search_bound)
+            if name != oracles.search_2tree_nested(f, search_bound):
+                return _fail(f"classifying {print_term(f)} disagrees with the search")
+            classes += 1
+            named += name is not None
+    return True, (
+        f"{len(frag)} notations, {pairs} ordered pairs verified; "
+        f"{2 * len(notations)} canonical trees named; {named} of {classes} "
+        f"nested classes named as the search names them")
 
 
 def _ordinal_fragment(depth: int, max_terms: int, max_coeff: int) -> list:
@@ -218,15 +290,20 @@ def _ordinal_fragment(depth: int, max_terms: int, max_coeff: int) -> list:
     return list(out)
 
 
-def a6_category_equivalence(level: int = 3, max_nodes: int = 5, k: int = 2):
-    """flatten/unflatten round trips and morphism-existence agreement."""
+def a6_category_equivalence(level: int = 3, max_nodes: int = 5, k: int = 2,
+                            sample: int = 1204, seed: int = 6):
+    """flatten/unflatten round trips and morphism-existence agreement.
+
+    The morphism pairs run over a fixed-seed sample of distinct raw forests
+    of the pool: their normal forms are too few to exercise the search.
+    """
     pool = oracles.nested_forests(max_nodes, k, level, include_empty=False)
     for f in pool:
         d = max(nesting_level(f), 1)
         g = nested.unflatten(flatten(f, d))
         if g != f and not h_equiv(g, f):
             return _fail(f"round trip fails on {print_term(f)}")
-    corpus = oracles.normalized_corpus(pool)
+    corpus = oracles.sample_forests(pool, sample, seed)
     flats = [flatten(f, level) for f in corpus]
     pairs = 0
     for i, f in enumerate(corpus):
@@ -276,7 +353,8 @@ def a7_reduction(max_points: int = 3, forest_nodes: int = 4, k: int = 2):
 
 
 def a8_level_monotonicity(max_points: int = 3, flat_nodes: int = 4, k: int = 3,
-                          nested_samples: int = 200, seed: int = 8):
+                          nested_samples: int = 200, nested_pool_size: int = 72,
+                          seed: int = 8):
     """Bigger names have bigger levels; meets intersect levels."""
     forests = oracles.normalized_corpus(
         oracles.flat_forests(flat_nodes, k, include_empty=False))
@@ -307,8 +385,8 @@ def a8_level_monotonicity(max_points: int = 3, flat_nodes: int = 4, k: int = 3,
                 return _fail(
                     f"meet law fails on {print_term(f)} / {print_term(g)}")
     rng = random.Random(seed)
-    nested_pool = oracles.normalized_corpus(
-        oracles.nested_forests(4, 2, 2, include_empty=False))
+    nested_pool = oracles.sample_forests(
+        oracles.nested_forests(4, 2, 2, include_empty=False), nested_pool_size, seed)
     small = [sp for sp in spaces if sp.n <= 2]
     fh_memb: dict = {}
 
@@ -390,12 +468,14 @@ SUITES = {
 }
 
 FAST_PRESETS = {
-    "A1": dict(flat_nodes=4, nested_nodes=4, extra_samples=2000),
-    "A2": dict(corpus_nodes=4, universe_nodes=5, triples=200),
+    "A1": dict(flat_nodes=4, nested_nodes=4, nested_sample=73,
+               canonical_corpora=((2, 4), (3, 3)), extra_samples=2000),
+    "A2": dict(corpus_nodes=4, universe_nodes=5, nested_nodes=3, triples=200),
     "A3": dict(max_m=4, samples=100),
     "A4": dict(max_points=3, max_n=2),
-    "A5": dict(exp_depth=1),
-    "A6": dict(level=2, max_nodes=4),
+    "A5": dict(exp_depth=1, classify_bound=10, nested_classes=((2, 4),),
+               search_bound=8),
+    "A6": dict(level=2, max_nodes=4, sample=72),
     "A7": dict(forest_nodes=3),
     "A8": dict(flat_nodes=3, nested_samples=50),
     "A9": dict(),

@@ -34,7 +34,7 @@ from .forest import (
     singleton,
     wrap,
 )
-from .ordinal import ZERO, Ord, add, cmp_ord, ord_of
+from .ordinal import ZERO, Ord, add, omega_pow, ord_of
 
 PLAIN = "plain"
 BAR = "bar"
@@ -170,72 +170,44 @@ def classify_2forest(f: Forest) -> CanonicalName:
 
 
 def classify_2tree_nested(f: Forest, size_bound: int) -> CanonicalName | None:
-    """Search supported notations for an h-equivalent T_a or bar T_a.
+    """The name T_a or bar T_a of a nested 2-forest, read off its normal form.
 
-    Only notations whose canonical forest has canonical_size at most
-    size_bound are tried; None means the bound was too small, never a
-    wrong name.
+    Normal forms are unique per class, so the single normal tree of f is
+    decoded by inverting the case split of _t_plain, and one comparison of
+    normal forms confirms the name.  None means f has no such name whose
+    canonical forest has canonical_size at most size_bound: either f is
+    equivalent to no T_a or bar T_a, or its name's tree is over the bound.
     """
-    f = as_forest(f)
-    for a in ordinal_candidates(size_bound):
-        for kind, polarity in (("T", PLAIN), ("Tbar", BAR)):
-            if h_equiv(f, t_nested(a, polarity)):
-                return CanonicalName(kind, a)
-    return None
+    f = normalize(as_forest(f))
+    name = _decode(f[0]) if len(f) == 1 else None
+    if name is None or _t_size(name[0]) > size_bound:
+        return None
+    a, polarity = name
+    if normalize(t_nested(a, polarity)) != f:
+        return None
+    return CanonicalName("T" if polarity == PLAIN else "Tbar", a)
 
 
-@lru_cache(maxsize=None)
-def ordinal_candidates(size_bound: int) -> tuple[Ord, ...]:
-    """All notations with canonical_size(T_a) <= size_bound, ascending.
+def _decode(t: Tree) -> tuple[Ord, str] | None:
+    """The (notation, polarity) whose canonical tree t has the shape of.
 
-    canonical_size grows strictly when a CNF term is appended, when a
-    coefficient grows, or when an exponent is replaced by a bigger one, so
-    a bounded sweep over prefixes is exhaustive.  Exponents range over the
-    candidate set itself, computed as a fixed point.
+    The root label names gamma and the polarity (a color is gamma 0); then
+    a leaf is w^g (0 for a color), and one child bar T_b or a pair
+    T_b | bar T_b is b + w^g.  Only the shape is read: the caller confirms
+    the guess by comparing normal forms.
     """
-
-    def sweep(exponents: list[Ord]) -> list[Ord]:
-        exps = sorted(exponents, key=_OrdKey)
-        label = [0 if e.is_zero() else _t_size(e) for e in exps]
-        out: list[Ord] = []
-
-        # Appending (e, d) to a prefix of size s costs d*(1 + label) plus
-        # 2*s when the prefix is nonempty; a bare finite part costs d + 1.
-        def walk(prefix: tuple, size: int, bound_idx: int):
-            out.append(Ord(prefix))
-            for idx in range(bound_idx):
-                e = exps[idx]
-                if not prefix and e.is_zero():
-                    for coeff in range(1, size_bound):
-                        walk(((e, coeff),), coeff + 1, idx)
-                    continue
-                step = 1 + label[idx]
-                base = 2 * size if prefix else 0
-                coeff = 1
-                while base + step * coeff <= size_bound:
-                    walk(prefix + ((e, coeff),), base + step * coeff, idx)
-                    coeff += 1
-
-        walk((), 1, len(exps))
-        return out
-
-    exponents = [ZERO]
-    while True:
-        result = sweep(exponents)
-        if len(result) == len(exponents):
-            break
-        exponents = result
-    result.sort(key=_OrdKey)
-    return tuple(result)
-
-
-class _OrdKey:
-    """Sort adapter turning cmp_ord into a key."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, a: Ord):
-        self.a = a
-
-    def __lt__(self, other: "_OrdKey") -> bool:
-        return cmp_ord(self.a, other.a) < 0
+    if isinstance(t.label, int):
+        if t.label > 1:
+            return None
+        gamma, polarity = ZERO, (PLAIN, BAR)[t.label]
+    else:
+        head = _decode(t.label[0]) if len(t.label) == 1 else None
+        if head is None:
+            return None
+        gamma, polarity = head
+    kids = [_decode(c) for c in t.children]
+    if None in kids or len(kids) > 2:
+        return None
+    if not kids:
+        return (ZERO if isinstance(t.label, int) else omega_pow(gamma)), polarity
+    return add(kids[0][0], omega_pow(gamma)), polarity

@@ -39,9 +39,10 @@ EXIT_SYNTAX = 2
 # benchmarks/, of which chain_space(400) is the largest.
 MAX_SPACE_POINTS = 512
 
-# Largest `classify --bound`: the candidate sweep grows about threefold
-# per two steps of the bound (16 takes 0.1 s, 20 takes 1.2 s).  Both
-# tests/ and benchmarks/ classify with bound 8.
+# Largest `classify --bound`, the canonical size a nested name may have.
+# Naming reads the normal form and searches nothing, so the cost does not
+# grow with the bound; the limit stays as part of the verb's contract.
+# Both tests/ and benchmarks/ classify with bound 8.
 MAX_CLASSIFY_BOUND = 16
 
 # Most nodes `canonical` builds, counted by canonical._t_size before
@@ -422,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
         emit_default="term")
     add("classify", cmd_classify, forest=True, emit=True, extra=(
         (("--bound",), dict(type=int, default=None,
-                            help="search bound for nested classification, "
+                            help="size bound for nested classification, "
                                  f"at most {MAX_CLASSIFY_BOUND}")),))
     add("canonical", cmd_canonical, emit=True, emit_default="term", extra=(
         (("--alpha",), dict(required=True, help="ordinal notation over w")),

@@ -212,27 +212,30 @@ def normalize_label(label: Label) -> Label:
 
 
 def normalize(f: Forest) -> Forest:
-    """Canonical representative of the h-equivalence class.
+    """The canonical representative of the h-equivalence class of f.
 
-    Removes components subsumed by siblings, contracts children whose label
-    is h-equivalent to their parent's, recursively minimizes labels, and
-    sorts components by a structural key.  Idempotent.
+    Labels are normalized first and children before their parent.  Then
+    two rules contract a node with a neighbour it maps onto:
+
+    (a) a child whose label is label_leq its parent's is spliced: its
+        children become the parent's;
+    (b) a node left with exactly one child, whose label dominates the
+        node's own, is replaced by that child.
+
+    Components strictly below a sibling are dropped, duplicates merged and
+    the rest sorted by a structural key.  Two forests are h-equivalent
+    exactly when their normal forms are equal (``==``), at every nesting
+    level.  Idempotent.
     """
-    trees = [_normalize_tree(t) for t in as_forest(f)]
-    return _dedupe(trees)
+    return _dedupe([_normalize_tree(t) for t in as_forest(f)])
 
 
 def _dedupe(trees: list[Tree]) -> Forest:
-    """One representative per equivalence class, maximal classes only, sorted."""
-    classes: list[list[Tree]] = []
-    for s in set(trees):
-        for cls in classes:
-            if tree_leq(s, cls[0]) and tree_leq(cls[0], s):
-                cls.append(s)
-                break
-        else:
-            classes.append([s])
-    reps = [min(cls, key=sort_key) for cls in classes]
+    """The maximal trees among normal trees, each once, sorted.
+
+    Equivalent normal trees are one object, so set() merges each class.
+    """
+    reps = set(trees)
     kept = [s for s in reps if not any(tree_leq(s, t) and not tree_leq(t, s) for t in reps)]
     return tuple(sorted(kept, key=sort_key))
 
@@ -255,7 +258,7 @@ def _normalize_tree(t: Tree) -> Tree:
         spliced: list[Tree] = []
         changed = False
         for c in kids:
-            if label_equiv(c.label, label):
+            if label_leq(c.label, label):
                 spliced.extend(c.children)
                 changed = True
             else:
@@ -263,8 +266,12 @@ def _normalize_tree(t: Tree) -> Tree:
         kids = spliced
         if not changed:
             break
-    n = Tree(label, _dedupe(kids))
-    object.__setattr__(n, "_norm", _NORMAL)
+    kids = _dedupe(kids)
+    if len(kids) == 1 and label_leq(label, kids[0].label):
+        n = kids[0]
+    else:
+        n = Tree(label, kids)
+        object.__setattr__(n, "_norm", _NORMAL)
     if n is not t:
         object.__setattr__(t, "_norm", n)
     return n
@@ -293,13 +300,9 @@ def meet_trees(s: Tree, t: Tree) -> Forest:
         return (s,)
     if tree_leq(t, s):
         return (t,)
-    parts: list[Forest] = []
+    below = join(_meet_tree_forest(s, t.children), _meet_tree_forest(t, s.children))
     m = label_meet(s.label, t.label)
-    if m is not None:
-        parts.append((Tree(m, meet(s.children, t.children)),))
-    parts.append(_meet_tree_forest(s, t.children))
-    parts.append(_meet_tree_forest(t, s.children))
-    return normalize(join(*parts))
+    return normalize((Tree(m, below),) if m is not None else below)
 
 
 def _meet_tree_forest(s: Tree, g: Forest) -> Forest:

@@ -7,10 +7,13 @@ can be validated against an independent authority.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import random
+from functools import cmp_to_key, lru_cache
 
-from .forest import EMPTY, Forest, Tree, as_label, normalize, sort_key
+from .canonical import BAR, PLAIN, CanonicalName, _t_size, t_nested
+from .forest import EMPTY, Forest, Tree, as_forest, as_label, h_equiv, normalize, sort_key
 from .nested import flatten, morphism_exists, nesting_level
+from .ordinal import ZERO, Ord, cmp_ord
 from .space import FiniteSpace
 
 
@@ -75,6 +78,12 @@ def nested_forests(max_nodes: int, k: int, level: int,
     return out
 
 
+def sample_forests(forests, count: int, seed: int) -> list:
+    """A fixed-seed sample of `count` of the given forests (all of them when fewer)."""
+    forests = list(forests)
+    return random.Random(seed).sample(forests, min(count, len(forests)))
+
+
 def normalized_corpus(forests) -> list:
     """Distinct normal forms of the given forests."""
     seen = set()
@@ -103,6 +112,10 @@ def oracle_h_leq(f: Forest, g: Forest) -> bool:
         return False
     depth = max(nesting_level(f), nesting_level(g), 1)
     return morphism_exists(flatten(f, depth), flatten(g, depth))
+
+
+def oracle_h_equiv(f: Forest, g: Forest) -> bool:
+    return oracle_h_leq(f, g) and oracle_h_leq(g, f)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +150,65 @@ class BoundOracle:
         im, i, j = self.index[m], self.index[f], self.index[g]
         common = self.above[i] & self.above[j]
         return bool(common & (1 << im)) and common & ~self.above[im] == 0
+
+
+# ---------------------------------------------------------------------------
+# ordinal notations and the search that names nested 2-forests
+
+
+@lru_cache(maxsize=None)
+def ordinal_candidates(size_bound: int) -> tuple[Ord, ...]:
+    """All notations with canonical_size(T_a) <= size_bound, ascending.
+
+    canonical_size grows strictly when a CNF term is appended, when a
+    coefficient grows, or when an exponent is replaced by a bigger one, so
+    a bounded sweep over prefixes is exhaustive.  Exponents range over the
+    candidate set itself, computed as a fixed point.
+    """
+
+    def sweep(exponents: list[Ord]) -> list[Ord]:
+        exps = sorted(exponents, key=cmp_to_key(cmp_ord))
+        label = [0 if e.is_zero() else _t_size(e) for e in exps]
+        out: list[Ord] = []
+
+        # Appending (e, d) to a prefix of size s costs d*(1 + label) plus
+        # 2*s when the prefix is nonempty; a bare finite part costs d + 1.
+        def walk(prefix: tuple, size: int, bound_idx: int):
+            out.append(Ord(prefix))
+            for idx in range(bound_idx):
+                e = exps[idx]
+                if not prefix and e.is_zero():
+                    for coeff in range(1, size_bound):
+                        walk(((e, coeff),), coeff + 1, idx)
+                    continue
+                step = 1 + label[idx]
+                base = 2 * size if prefix else 0
+                coeff = 1
+                while base + step * coeff <= size_bound:
+                    walk(prefix + ((e, coeff),), base + step * coeff, idx)
+                    coeff += 1
+
+        walk((), 1, len(exps))
+        return out
+
+    exponents = [ZERO]
+    while True:
+        result = sweep(exponents)
+        if len(result) == len(exponents):
+            break
+        exponents = result
+    result.sort(key=cmp_to_key(cmp_ord))
+    return tuple(result)
+
+
+def search_2tree_nested(f: Forest, size_bound: int) -> CanonicalName | None:
+    """The first T_a or bar T_a, over ascending candidates, h-equivalent to f."""
+    f = as_forest(f)
+    for a in ordinal_candidates(size_bound):
+        for kind, polarity in (("T", PLAIN), ("Tbar", BAR)):
+            if h_equiv(f, t_nested(a, polarity)):
+                return CanonicalName(kind, a)
+    return None
 
 
 # ---------------------------------------------------------------------------

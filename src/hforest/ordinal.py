@@ -14,7 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .errors import OrdinalSyntaxError
+from .errors import ForestError, OrdinalSyntaxError
+
+# parse_ordinal refuses a notation whose exponents nest deeper than this,
+# with the ForestError parse_term raises, before its recursion gets there.
+# It admits every tower `canonical --alpha` can build (245 deep).
+MAX_ORDINAL_DEPTH = 250
 
 
 @total_ordering
@@ -136,6 +141,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # exponents open around the current position
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -162,6 +168,9 @@ class _Parser:
         exp = ONE
         if self.peek() == "^":
             self.pos += 1
+            self.depth += 1
+            if self.depth > MAX_ORDINAL_DEPTH:
+                raise ForestError("input nested too deeply")
             if self.peek() == "(":
                 self.pos += 1
                 exp = self.parse_ord()
@@ -170,6 +179,7 @@ class _Parser:
                 self.pos += 1
             else:
                 exp = self.parse_term()
+            self.depth -= 1
         coeff = 1
         if self.peek() == "*":
             self.pos += 1

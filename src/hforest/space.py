@@ -22,7 +22,6 @@ from .forest import (
     Forest,
     Tree,
     as_forest,
-    h_equiv,
     h_leq,
     lift,
     normalize,
@@ -663,11 +662,7 @@ def hierarchy_report(space: FiniteSpace, bases, forests, k: int,
 
     check_size_guard(space.n, k, override_size_guard)
     levels = (bases,) if isinstance(bases, frozenset) else bases
-    reps = []
-    for f in forests:
-        f = normalize(as_forest(f))
-        if not any(h_equiv(f, g) for g in reps):
-            reps.append(f)
+    reps = list(dict.fromkeys(normalize(as_forest(f)) for f in forests))
     partitions = list(all_partitions(space.n, k))
     member_sets = []
     for f in reps:

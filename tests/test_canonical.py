@@ -9,7 +9,6 @@ from hforest.canonical import (
     canonical_size,
     classify_2forest,
     classify_2tree_nested,
-    ordinal_candidates,
     representative,
     swap_colors,
     t_flat,
@@ -27,6 +26,7 @@ from hforest.forest import (
     wrap,
 )
 from hforest.nested import parse_term, s_embed
+from hforest.oracles import ordinal_candidates
 from hforest.ordinal import OMEGA, add, cmp_ord, ord_of, parse_ordinal, succ
 
 
@@ -87,8 +87,9 @@ def test_classify_flat_total_on_corpus():
 
 
 def test_classify_nested_examples():
-    name = classify_2tree_nested(s_embed(parse_term("0*1")), 8)
-    assert (name.kind, name.index) == ("T", OMEGA)
+    for text in ("s(0*1)", "0*s(0*1)", "(0*1)*0"):
+        name = classify_2tree_nested(parse_term(text), 8)
+        assert (name.kind, name.index) == ("T", OMEGA)
     name = classify_2tree_nested(singleton(0), 4)
     assert (name.kind, name.index) == ("T", ord_of(0))
     name = classify_2tree_nested(t_nested(succ(OMEGA), BAR), 16)

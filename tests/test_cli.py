@@ -359,6 +359,13 @@ def test_deep_input_is_a_domain_error(capsys):
         assert err == "domain error: input nested too deeply\n"
 
 
+def test_deep_ordinal_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "canonical", "--alpha",
+                         "w^(" * 2000 + "1" + ")" * 2000)
+    assert code == 1 and out == ""
+    assert err == "domain error: input nested too deeply\n"
+
+
 def test_very_deep_term_file_is_refused_at_once(capsys, tmp_path):
     deep = tmp_path / "deep.term"
     deep.write_text("0*" * 200_000 + "1", encoding="utf-8")

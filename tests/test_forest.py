@@ -114,6 +114,21 @@ def test_meet_examples():
                    join(singleton(0), singleton(1)))
 
 
+def test_nested_equivalent_forms_share_one_normal_form():
+    forms = {normalize(parse_term(t)) for t in ("0*s(0*1)", "(0*1)*0", "s(0*1)")}
+    assert len(forms) == 1
+    corpus = oracles.nested_forests(4, 2, 2)
+    normal = [normalize(f) for f in corpus]
+    for f, n in zip(corpus[::7], normal[::7]):
+        for g, m in zip(corpus, normal):
+            assert (n == m) == h_equiv(f, g)
+
+
+def test_nested_meet_keeps_bounds_mapped_onto_a_root():
+    m = meet(parse_term("s(0*1)"), parse_term("0*(0*1|2*0)"))
+    assert m == normalize(parse_term("0*1"))
+
+
 def test_meet_against_bound_oracle():
     universe = oracles.normalized_corpus(oracles.flat_forests(6, 2))
     bounds = oracles.BoundOracle(universe, h_leq)
@@ -205,7 +220,7 @@ def test_json_errors():
 
 def test_equal_trees_are_one_object():
     flat = Tree(0, (Tree(1, (Tree(0),)),))
-    nested = Tree((flat,), (Tree(1),))
+    nested = Tree((flat,), (Tree(2),))
     node = {"label": 0, "children": [
         {"label": 1, "children": [{"label": 0, "children": []}]}]}
     for built in (
@@ -221,8 +236,8 @@ def test_equal_trees_are_one_object():
         pickle.loads(pickle.dumps(flat)),
     ):
         assert built is flat
-    assert parse_term("(0*1*0)*1")[0] is nested
-    assert normalize(parse_term("(0*1*0|0*1*0)*1"))[0] is nested
+    assert parse_term("(0*1*0)*2")[0] is nested
+    assert normalize(parse_term("(0*1*0|0*1*0)*2"))[0] is nested
     assert representative(CanonicalName("T", OMEGA))[0] is Tree(
         (Tree(0, (Tree(1),)),))
     assert "__eq__" not in Tree.__dict__

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hforest.errors import ForestError
 from hforest.ordinal import (
+    MAX_ORDINAL_DEPTH,
     OMEGA,
     ONE,
     ZERO,
@@ -78,6 +80,18 @@ def test_parse_errors():
     for bad in ("", "w^", "w+", "x", "w**2", "1+"):
         with pytest.raises(OrdinalSyntaxError):
             parse_ordinal(bad)
+
+
+def test_deep_notation_is_refused():
+    depth = MAX_ORDINAL_DEPTH
+    for text in ("w^(" * depth + "1" + ")" * depth, "w^" * depth + "1"):
+        a = parse_ordinal(text)
+        for _ in range(depth):
+            (a, _), = a.terms
+        assert a == ONE
+    for text in ("w^(" * 2000 + "1" + ")" * 2000, "w^" * (depth + 1) + "1"):
+        with pytest.raises(ForestError, match="input nested too deeply"):
+            parse_ordinal(text)
 
 
 def _corpus():

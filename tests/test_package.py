@@ -23,7 +23,7 @@ def _python(*argv):
 def test_every_export_is_its_home_modules_object():
     homes = [importlib.import_module(f"hforest.{m}") for m in MODULES]
     assert set(MODULES) <= set(hforest.__all__)
-    assert len(hforest.__all__) == 98
+    assert len(hforest.__all__) == 97
     for name in hforest.__all__:
         value = getattr(hforest, name)
         if name in MODULES:
