@@ -26,15 +26,13 @@ from .forest import (
     Label,
     Tree,
     as_forest,
-    h_equiv,
     join,
     normalize,
     normalize_label,
-    rank,
     singleton,
     wrap,
 )
-from .ordinal import ZERO, Ord, add, omega_pow, ord_of
+from .ordinal import ZERO, Ord, add, omega_pow
 
 PLAIN = "plain"
 BAR = "bar"
@@ -133,59 +131,52 @@ def _t_size(a: Ord) -> int:
 
 
 def representative(name: CanonicalName, flat: bool = False) -> Forest:
-    """The canonical forest a name stands for."""
-    if flat:
-        n = name.index.to_int()
-        if name.kind == "T":
-            return (t_flat(n, PLAIN),)
-        if name.kind == "Tbar":
-            return (t_flat(n, BAR),)
-        return (t_flat(n, PLAIN), t_flat(n, BAR))
-    if name.kind == "T":
-        return t_nested(name.index, PLAIN)
-    if name.kind == "Tbar":
-        return t_nested(name.index, BAR)
-    return join(t_nested(name.index, PLAIN), t_nested(name.index, BAR))
+    """The canonical forest a name stands for; flat=True insists that the
+    index is finite, whose forest is already the flat chain."""
+    if flat and not name.index.is_finite():
+        raise ForestError(f"{name} has no flat representative")
+    if name.kind == "TjoinTbar":
+        return join(t_nested(name.index, PLAIN), t_nested(name.index, BAR))
+    return t_nested(name.index, PLAIN if name.kind == "T" else BAR)
 
 
 def classify_2forest(f: Forest) -> CanonicalName:
-    """The unique name among T_n, bar T_n, T_n|bar T_n matching a flat 2-forest.
-
-    The index is the rank of the normalized forest (alternation depth);
-    the match is then verified by h-equivalence in both directions.
-    """
+    """The unique name among T_n, bar T_n, T_n|bar T_n matching a flat 2-forest."""
     f = normalize(as_forest(f))
     if not f:
         raise ForestError("the empty forest has no canonical name")
-    n = rank(f)
-    matches = [
-        name
-        for kind in ("T", "Tbar", "TjoinTbar")
-        for name in [CanonicalName(kind, ord_of(n))]
-        if h_equiv(f, representative(name, flat=True))
-    ]
-    if len(matches) != 1:
-        raise ForestError(f"classification failed: {len(matches)} matches at index {n}")
-    return matches[0]
+    name = _name(f)
+    if name is None or not name.index.is_finite():
+        raise ForestError("the forest is equivalent to no T_n, bar T_n or T_n|bar T_n")
+    return name
 
 
 def classify_2tree_nested(f: Forest, size_bound: int) -> CanonicalName | None:
-    """The name T_a or bar T_a of a nested 2-forest, read off its normal form.
+    """The name T_a or bar T_a of a nested 2-forest, or None when f has no
+    such name whose canonical forest has canonical_size at most size_bound."""
+    name = _name(normalize(as_forest(f)))
+    if name is None or name.kind == "TjoinTbar" or _t_size(name.index) > size_bound:
+        return None
+    return name
 
-    Normal forms are unique per class, so the single normal tree of f is
-    decoded by inverting the case split of _t_plain, and one comparison of
-    normal forms confirms the name.  None means f has no such name whose
-    canonical forest has canonical_size at most size_bound: either f is
-    equivalent to no T_a or bar T_a, or its name's tree is over the bound.
+
+def _name(f: Forest) -> CanonicalName | None:
+    """The name whose canonical forest has the normal form f, or None.
+
+    Normal forms are unique per class, so the first normal tree is decoded
+    by inverting the case split of _t_plain; one tree is T_a or bar T_a,
+    two are T_a | bar T_a.  A canonical forest is its own normal form up
+    to the order of siblings, so a guess of another size cannot match; that
+    test comes first, so the confirmation never builds a forest larger
+    than f.  One comparison of normal forms confirms the guess.
     """
-    f = normalize(as_forest(f))
-    name = _decode(f[0]) if len(f) == 1 else None
-    if name is None or _t_size(name[0]) > size_bound:
+    guess = _decode(f[0]) if 1 <= len(f) <= 2 else None
+    if guess is None or len(f) * _t_size(guess[0]) != canonical_size(f):
         return None
-    a, polarity = name
-    if normalize(t_nested(a, polarity)) != f:
-        return None
-    return CanonicalName("T" if polarity == PLAIN else "Tbar", a)
+    a, polarity = guess
+    kind = "TjoinTbar" if len(f) == 2 else "T" if polarity == PLAIN else "Tbar"
+    name = CanonicalName(kind, a)
+    return name if normalize(representative(name)) == f else None
 
 
 def _decode(t: Tree) -> tuple[Ord, str] | None:

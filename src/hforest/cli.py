@@ -39,12 +39,6 @@ EXIT_SYNTAX = 2
 # benchmarks/, of which chain_space(400) is the largest.
 MAX_SPACE_POINTS = 512
 
-# Largest `classify --bound`, the canonical size a nested name may have.
-# Naming reads the normal form and searches nothing, so the cost does not
-# grow with the bound; the limit stays as part of the verb's contract.
-# Both tests/ and benchmarks/ classify with bound 8.
-MAX_CLASSIFY_BOUND = 16
-
 # Most nodes `canonical` builds, counted by canonical._t_size before
 # anything is built.  The largest canonical forest in tests/ and
 # benchmarks/ has 14 nodes.
@@ -129,9 +123,10 @@ def load_omega_base(value: str, space):
         tuple(base_from_json(level, space.n) for level in data), space.n)
 
 
-def load_partition(value: str, k: int | None, forest: Forest):
-    """The KPartition a forest is checked against; the forest's colors must
-    be below k.  Without k, k is the fewest colors that admit both."""
+def load_partition(value: str, k: int | None, forest: Forest, space):
+    """The KPartition of the space's points a forest is checked against;
+    the forest's colors must be below k.  Without k, k is the fewest colors
+    that admit both."""
     from .space import KPartition
 
     text = _read_maybe_file(value).strip()
@@ -145,7 +140,10 @@ def load_partition(value: str, k: int | None, forest: Forest):
     if k is None:
         k = max(max(labels, default=0), max_color(forest)) + 1
     validate_forest(forest, k)
-    return KPartition(tuple(labels), k)
+    partition = KPartition(tuple(labels), k)
+    if partition.n != space.n:
+        raise SpaceError("partition size does not match the space")
+    return partition
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +214,6 @@ def cmd_classify(args) -> str:
 
     f = load_forest(args.forest)
     if args.bound is not None:
-        if args.bound > MAX_CLASSIFY_BOUND:
-            raise SpaceError(
-                f"size bound {args.bound} exceeds {MAX_CLASSIFY_BOUND}")
         name = classify_2tree_nested(f, args.bound)
         if name is None:
             raise SpaceError(
@@ -269,9 +264,7 @@ def cmd_dh_check(args) -> str:
     space = load_space(args.space)
     base = load_base(args.base, space)
     forest = load_forest(args.forest)
-    partition = load_partition(args.partition, args.k, forest)
-    if partition.n != space.n:
-        raise SpaceError("partition size does not match the space")
+    partition = load_partition(args.partition, args.k, forest, space)
     witness = dh_witness_family(partition, forest, base, space)
     out = {"member": witness is not None}
     if witness is not None:
@@ -285,9 +278,7 @@ def cmd_fh_check(args) -> str:
     space = load_space(args.space)
     levels = load_omega_base(args.omega_base, space)
     forest = load_forest(args.forest)
-    partition = load_partition(args.partition, args.k, forest)
-    if partition.n != space.n:
-        raise SpaceError("partition size does not match the space")
+    partition = load_partition(args.partition, args.k, forest, space)
     return json.dumps(
         {"member": fh_membership(partition, forest, levels, space)})
 
@@ -301,7 +292,7 @@ def cmd_reduce_check(args) -> str:
     out: dict = {"reduction_property": has_reduction_property(base)}
     if args.partition is not None and args.forest is not None:
         forest = load_forest(args.forest)
-        partition = load_partition(args.partition, args.k, forest)
+        partition = load_partition(args.partition, args.k, forest, space)
         fam = dh_witness_family(partition, forest, base, space)
         out["member"] = fam is not None
         if fam is not None and out["reduction_property"]:
@@ -423,8 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
         emit_default="term")
     add("classify", cmd_classify, forest=True, emit=True, extra=(
         (("--bound",), dict(type=int, default=None,
-                            help="size bound for nested classification, "
-                                 f"at most {MAX_CLASSIFY_BOUND}")),))
+                            help="size bound for nested classification")),))
     add("canonical", cmd_canonical, emit=True, emit_default="term", extra=(
         (("--alpha",), dict(required=True, help="ordinal notation over w")),
         (("--polarity",), dict(choices=("plain", "bar", "join"),

@@ -24,16 +24,16 @@ class Tree:
 
     ``Tree(label, children)`` returns the live node with that label and
     those children when there is one, so structural equality is identity
-    and ``==`` is the default identity test.  The hash is the structural
-    one, computed once.  A node also stores its normal form and its sort
-    key once they are first asked for; both die with the node.
+    and ``==`` and ``hash`` are the default identity ones.  A node also
+    stores its normal form and its sort key once they are first asked
+    for; both die with the node.
 
     Construction is single-threaded by contract: two threads building
     equal trees at the same moment could get two objects, and identity
     equality would then be wrong.
     """
 
-    __slots__ = ("label", "children", "_hash", "_norm", "_key", "__weakref__")
+    __slots__ = ("label", "children", "_norm", "_key", "__weakref__")
 
     def __new__(cls, label: "Label", children: "Forest" = ()):
         if label.__class__ is not int and label.__class__ is not tuple:
@@ -49,7 +49,6 @@ class Tree:
         set_slot = object.__setattr__
         set_slot(t, "label", label)
         set_slot(t, "children", key[1])
-        set_slot(t, "_hash", hash(key))
         set_slot(t, "_norm", None)
         set_slot(t, "_key", None)
         _INTERNED[key] = t
@@ -57,9 +56,6 @@ class Tree:
 
     def __setattr__(self, *args):
         raise AttributeError("Tree is immutable")
-
-    def __hash__(self):
-        return self._hash
 
     def __reduce__(self):
         return Tree, (self.label, self.children)

@@ -439,7 +439,9 @@ def _sweep(a: KPartition, forest: Forest, levels, space: FiniteSpace):
     children's options.
     """
     depth = len(levels)
-    color_masks = [a.mask(i) for i in range(a.k)]
+    color_masks: dict = {}  # only the colors that occur: k may be huge
+    for i, c in enumerate(a.labels):
+        color_masks[c] = color_masks.get(c, 0) | 1 << i
     memo: dict = {}
 
     def feasible(f: Forest, level: int, target: int) -> bool:
@@ -460,7 +462,7 @@ def _sweep(a: KPartition, forest: Forest, levels, space: FiniteSpace):
             if deepest:
                 if not isinstance(t.label, int):
                     raise SpaceError("non-color label at the deepest level")
-                allowed = color_masks[t.label] if t.label < a.k else 0
+                allowed = color_masks.get(t.label, 0)
             else:
                 label = lift(t.label)
             unions = (0,)
@@ -657,29 +659,33 @@ def hierarchy_report(space: FiniteSpace, bases, forests, k: int,
     bases is a single base (flat forests) or a sequence of bases (nested).
     Levels are intersections over antichains of forests; the constituent
     of an antichain removes every membership set not above the antichain.
+    Forests with more than MAX_BASE_SETS antichains raise SpaceError.
     """
     from .nested import print_term
 
     check_size_guard(space.n, k, override_size_guard)
     levels = (bases,) if isinstance(bases, frozenset) else bases
     reps = list(dict.fromkeys(normalize(as_forest(f)) for f in forests))
+    idx = range(len(reps))
+    below = [[h_leq(reps[i], reps[j]) for j in idx] for i in idx]
+    # Antichains by size, then lexicographically: each one of size r + 1
+    # extends one of size r by a higher index apart from all its members.
+    antichains = []
+    grown = [(i,) for i in idx]
+    while grown:
+        antichains.extend(grown)
+        if len(antichains) > MAX_BASE_SETS:
+            raise SpaceError(
+                f"the forests form more than {MAX_BASE_SETS} antichains")
+        grown = [combo + (j,) for combo in grown
+                 for j in range(combo[-1] + 1, len(reps))
+                 if not any(below[i][j] or below[j][i] for i in combo)]
     partitions = list(all_partitions(space.n, k))
     member_sets = []
     for f in reps:
         member_sets.append(frozenset(
             a for a in partitions if fh_membership(a, f, levels, space)))
 
-    idx = range(len(reps))
-    below = [[h_leq(reps[i], reps[j]) for j in idx] for i in idx]
-    antichains = [
-        combo
-        for r in range(1, len(reps) + 1)
-        for combo in combinations(idx, r)
-        if all(
-            not below[i][j] and not below[j][i]
-            for i, j in combinations(combo, 2)
-        )
-    ]
     constituents = []
     for combo in antichains:
         level = frozenset.intersection(*(member_sets[i] for i in combo))

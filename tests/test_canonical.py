@@ -71,6 +71,9 @@ def test_classify_flat_examples():
     assert (name.kind, name.index) == ("TjoinTbar", ord_of(1))
     with pytest.raises(ForestError):
         classify_2forest(EMPTY)
+    # a nested class has a name, but not one of the flat verb
+    with pytest.raises(ForestError):
+        classify_2forest(parse_term("s(0*1)"))
 
 
 def test_classify_flat_total_on_corpus():
@@ -95,6 +98,8 @@ def test_classify_nested_examples():
     name = classify_2tree_nested(t_nested(succ(OMEGA), BAR), 16)
     assert (name.kind, name.index) == ("Tbar", succ(OMEGA))
     assert classify_2tree_nested(t_nested(parse_ordinal("w^2"), PLAIN), 2) is None
+    both = join(t_nested(OMEGA, PLAIN), t_nested(OMEGA, BAR))
+    assert classify_2tree_nested(both, 16) is None
 
 
 def test_incomparability_and_strictness():
@@ -132,3 +137,9 @@ def test_representative_join_kind():
     name = CanonicalName("TjoinTbar", ord_of(1))
     rep = representative(name)
     assert h_equiv(rep, join((t_flat(1, PLAIN),), (t_flat(1, BAR),)))
+
+
+def test_representative_flat_is_the_chain():
+    assert representative(CanonicalName("Tbar", ord_of(3)), flat=True) == (t_flat(3, BAR),)
+    with pytest.raises(ForestError):
+        representative(CanonicalName("T", OMEGA), flat=True)

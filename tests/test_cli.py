@@ -1,15 +1,20 @@
 """Command-line interface, exercised in process via main(argv)."""
 
+import itertools
 import json
 import time
 
 import pytest
 
 import hforest.acceptance
-from hforest.cli import (MAX_CANONICAL_NODES, MAX_CLASSIFY_BOUND,
-                         MAX_SPACE_POINTS, load_space, main)
+from hforest.cli import MAX_CANONICAL_NODES, MAX_SPACE_POINTS, load_space, main
 from hforest.forest import forest_from_json, h_equiv
 from hforest.nested import parse_term
+
+
+# canonical --alpha 'w^(w*2)+w^3*2+4' --polarity bar: 52 nodes
+T_BAR_52 = ("1*0*1*0*((0*1*0*1)*(1*0*1*0)*(s((0*1)*s(1*0))|s((1*0)*s(0*1)))"
+            "|(1*0*1*0)*(0*1*0*1)*(s((0*1)*s(1*0))|s((1*0)*s(0*1))))")
 
 
 def run(capsys, *argv):
@@ -178,6 +183,10 @@ def test_fh_check_closes_each_level_once(capsys):
     ["reduce-check", "--space", "chain:" + "9" * 5000],
     ["reduce-check", "--space", "chain:x"],
     ["reduce-check", "--space", '{"points": "3"}'],
+    ["reduce-check", "--space", "chain:2", "--partition", '{"labels": [0, 1, 1, 1]}',
+     "--forest", "0*1"],
+    ["fh-check", "--space", "chain:2", "--omega-base", "[[]]",
+     "--partition", '{"labels": [0]}', "--forest", "0"],
 ])
 def test_space_point_limit(capsys, argv):
     start = time.perf_counter()
@@ -193,8 +202,8 @@ def test_space_point_limit_admits_its_bound():
 
 
 @pytest.mark.parametrize("argv", [
-    ["classify", "--forest", "0*1", "--bound", str(MAX_CLASSIFY_BOUND + 1)],
-    ["classify", "--forest", "0*1", "--bound", "24"],
+    ["classify", "--forest", T_BAR_52, "--bound", "51"],
+    ["classify", "--forest", "0*1", "--bound", "-1"],
     ["canonical", "--alpha", "10000000"],
     ["canonical", "--alpha", "w*10000000", "--polarity", "bar"],
     ["canonical", "--alpha", "w^w^w*" + "9" * 40],
@@ -210,9 +219,9 @@ def test_size_limits_refuse_before_building(capsys, argv):
 
 
 def test_size_limits_admit_their_bounds(capsys):
-    code, out, _ = run(capsys, "classify", "--forest", "s(0*1)",
-                       "--bound", str(MAX_CLASSIFY_BOUND), "--emit", "term")
-    assert code == 0 and out.strip() == "T[w]"
+    code, out, _ = run(capsys, "classify", "--forest", T_BAR_52,
+                       "--bound", "52", "--emit", "term")
+    assert code == 0 and out.strip() == "T-bar[w^(w*2)+w^3*2+4]"
     # 4,607 nodes, twice over for the join of both polarities
     assert 2 * 4607 <= MAX_CANONICAL_NODES
     code, out, _ = run(capsys, "canonical", "--polarity", "join",
@@ -308,6 +317,27 @@ def test_report(capsys):
                        "--base", "upsets", "--forest", "0*1",
                        "--emit", "dot")
     assert code == 0 and out.startswith("digraph")
+
+
+def test_report_of_a_long_chain_is_fast(capsys):
+    chain = ["*".join(str(i % 2) for i in range(n)) for n in range(1, 27)]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "report", "--space", "chain:2",
+                       *(x for f in chain for x in ("--forest", f)))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert [c["antichain"] for c in json.loads(out)["constituents"]] == [[f] for f in chain]
+
+
+def test_report_refuses_too_many_antichains(capsys):
+    # chains of three distinct colors are pairwise incomparable: 2^13 - 1 antichains
+    forests = ["*".join(map(str, p)) for p in itertools.permutations(range(4), 3)][:13]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "report", "--space", "chain:2", "--k", "4",
+                         *(x for f in forests for x in ("--forest", f)))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:") and err.count("\n") == 1
 
 
 def test_file_input(tmp_path, capsys):
