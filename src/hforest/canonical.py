@@ -17,9 +17,9 @@ supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record, set_field
 from .forest import (
     Forest,
     ForestError,
@@ -38,12 +38,14 @@ PLAIN = "plain"
 BAR = "bar"
 
 
-@dataclass(frozen=True)
-class CanonicalName:
+class CanonicalName(Record):
     """Which canonical class a 2-forest belongs to."""
 
-    kind: str  # "T", "Tbar" or "TjoinTbar"
-    index: Ord
+    __slots__ = _fields = ("kind", "index")  # "T", "Tbar" or "TjoinTbar"; Ord
+
+    def __init__(self, kind: str, index: Ord):
+        set_field(self, "kind", kind)
+        set_field(self, "index", index)
 
     def __str__(self) -> str:
         pretty = {"T": "T", "Tbar": "T-bar", "TjoinTbar": "T|T-bar"}[self.kind]

@@ -6,7 +6,11 @@ Verbs dispatch to the library; inputs are inline literals or file paths
 
 A call is mostly interpreter start-up and import, so each verb imports
 the library modules it runs inside its own function and loaders; only
-``forest`` and ``nested``, which every verb runs, load at the top.
+``forest`` and ``nested``, which every verb runs, load at the top.  For
+the same reason ``main`` builds only the subparser of the verb that argv
+names.  It builds all of VERBS when argv names no verb, so that the
+top-level help and the unknown-verb error still list every verb.  A usage
+error is one ``syntax error:`` line on stderr, as every other failure is.
 """
 
 from __future__ import annotations
@@ -356,89 +360,103 @@ class _SelftestFailure(Exception):
 # argument plumbing
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+# verb -> (function, flags).  _build_parser adds the arguments the flags
+# name; the "emit" flag's value is the default --emit mode.
+VERBS = {
+    "compare": (cmd_compare, dict(pair=True)),
+    "meet": (cmd_meet, dict(pair=True, emit="term")),
+    "join": (cmd_join, dict(pair=True, emit="term")),
+    "normalize": (cmd_normalize, dict(forest=True, emit="term")),
+    "classify": (cmd_classify, dict(forest=True, emit="json", extra=(
+        (("--bound",), dict(type=int, default=None,
+                            help="size bound for nested classification")),))),
+    "canonical": (cmd_canonical, dict(emit="term", extra=(
+        (("--alpha",), dict(required=True, help="ordinal notation over w")),
+        (("--polarity",), dict(choices=("plain", "bar", "join"),
+                               default="plain")),))),
+    "flatten": (cmd_flatten, dict(forest=True)),
+    "parse": (cmd_parse, dict(forest=True, emit="json")),
+    "dh-check": (cmd_dh_check, dict(space=True, base=True, partition=True,
+                                    forest=True, k=True)),
+    "fh-check": (cmd_fh_check, dict(space=True, omega_base=True,
+                                    partition=True, forest=True, k=True)),
+    "reduce-check": (cmd_reduce_check, dict(space=True, base=True,
+                                            partition_opt=True,
+                                            forest_opt=True, k=True)),
+    "degrees": (cmd_degrees, dict(space=True, emit="json", guard=True, extra=(
+        (("--k",), dict(type=int, default=2, help="number of colors")),))),
+    "report": (cmd_report, dict(space=True, base=True, omega_base_opt=True,
+                                forests=True, k=True, emit="json",
+                                guard=True)),
+    "selftest": (cmd_selftest, dict(extra=(
+        (("--scope",), dict(choices=("fast", "full"), default="fast")),))),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line, as every other failure is."""
+
+    def error(self, message):
+        self.exit(EXIT_SYNTAX, f"syntax error: {self.prog}: {message}\n")
+
+
+def _build_parser(verbs=VERBS) -> argparse.ArgumentParser:
+    """The parser with a subparser for each of the given verbs."""
+    parser = _Parser(
         prog="hforest",
         description="h-preorder calculus on labeled forests and "
                     "hierarchy membership over finite spaces")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, func, **flags):
+    for name in verbs:
+        func, flags = VERBS[name]
         p = sub.add_parser(name)
         p.set_defaults(func=func)
-        if flags.pop("pair", False):
+        if flags.get("pair"):
             p.add_argument("--lhs", required=True, help="forest term or file")
             p.add_argument("--rhs", required=True, help="forest term or file")
-        if flags.pop("forest", False):
+        if flags.get("forest"):
             p.add_argument("--forest", required=True,
                            help="forest term or file")
-        if flags.pop("forests", False):
+        if flags.get("forests"):
             p.add_argument("--forest", action="append", required=True,
                            help="forest term or file (repeatable)")
-        if flags.pop("forest_opt", False):
+        if flags.get("forest_opt"):
             p.add_argument("--forest", help="forest term or file")
-        if flags.pop("space", False):
+        if flags.get("space"):
             p.add_argument("--space", required=True,
                            help="space JSON/file, chain:N, antichain:N, diamond")
-        if flags.pop("base", False):
+        if flags.get("base"):
             p.add_argument("--base", default="upsets",
                            help="base JSON/file, 'upsets' or 'powerset'")
-        if flags.pop("omega_base", False):
+        if flags.get("omega_base"):
             p.add_argument("--omega-base", dest="omega_base", required=True,
                            help="JSON list of base levels, or a file")
-        if flags.pop("omega_base_opt", False):
+        if flags.get("omega_base_opt"):
             p.add_argument("--omega-base", dest="omega_base",
                            help="JSON list of base levels, or a file")
-        if flags.pop("partition", False):
+        if flags.get("partition"):
             p.add_argument("--partition", required=True,
                            help='partition JSON {"labels": [...]} or file')
-        if flags.pop("partition_opt", False):
+        if flags.get("partition_opt"):
             p.add_argument("--partition",
                            help='partition JSON {"labels": [...]} or file')
-        if flags.pop("k", False):
+        if flags.get("k"):
             p.add_argument("--k", type=int, help="number of colors")
-        if flags.pop("emit", None):
+        if flags.get("emit"):
             p.add_argument("--emit", choices=("json", "term", "dot"),
-                           default=flags.pop("emit_default", "json"))
-        if flags.pop("guard", False):
+                           default=flags["emit"])
+        if flags.get("guard"):
             p.add_argument("--override-size-guard", action="store_true",
                            dest="override_size_guard")
-        for extra in flags.pop("extra", ()):
-            p.add_argument(*extra[0], **extra[1])
-        return p
-
-    add("compare", cmd_compare, pair=True)
-    add("meet", cmd_meet, pair=True, emit=True, emit_default="term")
-    add("join", cmd_join, pair=True, emit=True, emit_default="term")
-    add("normalize", cmd_normalize, forest=True, emit=True,
-        emit_default="term")
-    add("classify", cmd_classify, forest=True, emit=True, extra=(
-        (("--bound",), dict(type=int, default=None,
-                            help="size bound for nested classification")),))
-    add("canonical", cmd_canonical, emit=True, emit_default="term", extra=(
-        (("--alpha",), dict(required=True, help="ordinal notation over w")),
-        (("--polarity",), dict(choices=("plain", "bar", "join"),
-                               default="plain")),))
-    add("flatten", cmd_flatten, forest=True)
-    add("parse", cmd_parse, forest=True, emit=True)
-    add("dh-check", cmd_dh_check, space=True, base=True, partition=True,
-        forest=True, k=True)
-    add("fh-check", cmd_fh_check, space=True, omega_base=True, partition=True,
-        forest=True, k=True)
-    add("reduce-check", cmd_reduce_check, space=True, base=True,
-        partition_opt=True, forest_opt=True, k=True)
-    add("degrees", cmd_degrees, space=True, emit=True, guard=True, extra=(
-        (("--k",), dict(type=int, default=2, help="number of colors")),))
-    add("report", cmd_report, space=True, base=True, omega_base_opt=True,
-        forests=True, k=True, emit=True, guard=True)
-    add("selftest", cmd_selftest, extra=(
-        (("--scope",), dict(choices=("fast", "full"), default="fast")),))
+        for names, kwargs in flags.get("extra", ()):
+            p.add_argument(*names, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verbs = argv[:1] if argv and argv[0] in VERBS else VERBS
+    args = _build_parser(verbs).parse_args(argv)
     try:
         output = args.func(args)
     except (TermSyntaxError, OrdinalSyntaxError, json.JSONDecodeError) as exc:

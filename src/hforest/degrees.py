@@ -8,9 +8,9 @@ ordered by reducibility of representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import Record, set_field
 from .nested import LabeledNPreorder, morphism_exists
 from .space import FiniteSpace, KPartition, SpaceError, all_partitions, check_size_guard
 
@@ -40,14 +40,18 @@ def wadge_leq(a: KPartition, b: KPartition, space: FiniteSpace,
                            LabeledNPreorder(target.n, (target.up,), b.labels))
 
 
-@dataclass(frozen=True)
-class DegreePoset:
+class DegreePoset(Record):
     """Equivalence classes of mutual reducibility with the induced order."""
 
-    space: FiniteSpace
-    k: int
-    classes: tuple  # tuple[tuple[KPartition, ...], ...]
-    leq: tuple  # leq[i] = frozenset of class indices j with class i <= class j
+    # classes: tuple[tuple[KPartition, ...], ...]
+    # leq[i] = frozenset of class indices j with class i <= class j
+    __slots__ = _fields = ("space", "k", "classes", "leq")
+
+    def __init__(self, space: FiniteSpace, k: int, classes: tuple, leq: tuple):
+        set_field(self, "space", space)
+        set_field(self, "k", k)
+        set_field(self, "classes", classes)
+        set_field(self, "leq", leq)
 
     def __len__(self) -> int:
         return len(self.classes)

@@ -11,9 +11,9 @@ with ``exp := '(' ord ')' | term``.  Example: ``w^2*3+w+1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 
+from ._record import Record, set_field
 from .errors import ForestError, OrdinalSyntaxError
 
 # parse_ordinal refuses a notation whose exponents nest deeper than this,
@@ -23,19 +23,31 @@ MAX_ORDINAL_DEPTH = 250
 
 
 @total_ordering
-@dataclass(frozen=True)
-class Ord:
-    """An ordinal notation in Cantor normal form over w."""
+class Ord(Record):
+    """An ordinal notation in Cantor normal form over w: terms is a tuple
+    of (exponent Ord, coefficient) pairs.  The hash is computed once, as
+    memo caches key on notations whose exponents are notations."""
 
-    terms: tuple[tuple["Ord", int], ...] = ()
+    _fields = ("terms",)
+    __slots__ = ("terms", "_hash")
 
-    def __post_init__(self):
-        for exp, coeff in self.terms:
+    def __init__(self, terms: tuple = ()):
+        for exp, coeff in terms:
             if not isinstance(exp, Ord) or not isinstance(coeff, int) or coeff < 1:
                 raise ValueError(f"bad CNF term ({exp!r}, {coeff!r})")
-        for (a, _), (b, _) in zip(self.terms, self.terms[1:]):
+        for (a, _), (b, _) in zip(terms, terms[1:]):
             if cmp_ord(a, b) <= 0:
                 raise ValueError("CNF exponents must be strictly decreasing")
+        set_field(self, "terms", terms)
+        set_field(self, "_hash", hash((terms,)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.terms == other.terms
+
+    def __hash__(self):
+        return self._hash
 
     def is_zero(self) -> bool:
         return not self.terms

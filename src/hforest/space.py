@@ -15,9 +15,9 @@ of the nodes whose new parts contain a point determine its class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
+from ._record import Record, set_field
 from .forest import (
     Forest,
     Tree,
@@ -40,22 +40,22 @@ MAX_BASE_SETS = 1 << 12
 # spaces
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(Record):
     """Finite poset; up[i] is the bitmask of points j with i <= j."""
 
-    n: int
-    up: tuple
+    __slots__ = _fields = ("n", "up")
 
-    def __post_init__(self):
-        for i in range(self.n):
-            if not self.up[i] & (1 << i):
+    def __init__(self, n: int, up: tuple):
+        for i in range(n):
+            if not up[i] & (1 << i):
                 raise SpaceError("order must be reflexive")
-            for j in range(self.n):
-                if i != j and self.up[i] & (1 << j) and self.up[j] & (1 << i):
+            for j in range(n):
+                if i != j and up[i] & (1 << j) and up[j] & (1 << i):
                     raise SpaceError(f"points {i} and {j} violate antisymmetry")
-                if self.up[i] & (1 << j) and self.up[j] & ~self.up[i]:
+                if up[i] & (1 << j) and up[j] & ~up[i]:
                     raise SpaceError("order must be transitive")
+        set_field(self, "n", n)
+        set_field(self, "up", up)
 
     @staticmethod
     def from_pairs(n: int, pairs) -> "FiniteSpace":
@@ -251,16 +251,16 @@ def _points_of(mask: int):
 # partitions
 
 
-@dataclass(frozen=True)
-class KPartition:
+class KPartition(Record):
     """Total coloring of the points by 0..k-1."""
 
-    labels: tuple
-    k: int
+    __slots__ = _fields = ("labels", "k")
 
-    def __post_init__(self):
-        if any(not 0 <= c < self.k for c in self.labels):
+    def __init__(self, labels: tuple, k: int):
+        if any(not 0 <= c < k for c in labels):
             raise SpaceError("partition label out of range")
+        set_field(self, "labels", labels)
+        set_field(self, "k", k)
 
     @property
     def n(self) -> int:
@@ -317,14 +317,18 @@ def difference_kernel(alpha: int, sets) -> int:
 # so on.  Flat families have depth 1 (prefixes are single paths).
 
 
-@dataclass
-class PFamily:
-    forest: Forest
-    depth: int
-    sets: dict  # prefix tuple -> mask
+class PFamily(Record):
+    """A set for every prefix of a forest; mutable, so unhashable."""
 
-    def __post_init__(self):
-        self.forest = as_forest(self.forest)
+    __slots__ = _fields = ("forest", "depth", "sets")  # sets: prefix -> mask
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, forest: Forest, depth: int, sets: dict):
+        self.forest = as_forest(forest)
+        self.depth = depth
+        self.sets = sets
         expected = {pfx for pfx, _, _ in family_prefixes(self.forest, self.depth)}
         if set(self.sets) != expected:
             raise SpaceError("family must assign a set to every node tuple")

@@ -7,7 +7,8 @@ import time
 import pytest
 
 import hforest.acceptance
-from hforest.cli import MAX_CANONICAL_NODES, MAX_SPACE_POINTS, load_space, main
+from hforest.cli import (MAX_CANONICAL_NODES, MAX_SPACE_POINTS, VERBS,
+                         _build_parser, load_space, main)
 from hforest.forest import forest_from_json, h_equiv
 from hforest.nested import parse_term
 
@@ -365,6 +366,43 @@ def test_exit_codes(capsys):
 
     with pytest.raises(SystemExit):
         main(["no-such-verb"])
+
+
+def _exit(call, capsys):
+    with pytest.raises(SystemExit) as exc:
+        call()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_top_level_help_lists_every_verb(capsys):
+    code, out, err = _exit(lambda: main(["-h"]), capsys)
+    assert code == 0 and err == ""
+    assert len(VERBS) == 14
+    assert all(verb in out for verb in VERBS)
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_verb_help_is_the_full_parsers(capsys, verb):
+    code, out, err = _exit(lambda: main([verb, "-h"]), capsys)
+    assert code == 0 and err == "" and out.startswith(f"usage: hforest {verb} ")
+    full = _exit(lambda: _build_parser().parse_args([verb, "-h"]), capsys)
+    assert (code, out, err) == full
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["bogus"], "hforest: argument verb: invalid choice: 'bogus' (choose from "
+                + ", ".join(map(repr, VERBS)) + ")"),
+    ([], "hforest: the following arguments are required: verb"),
+    (["classify", "--forest", "-x"],
+     "hforest classify: argument --forest: expected one argument"),
+    (["classify", "--forest", "0", "--bound", "x"],
+     "hforest classify: argument --bound: invalid int value: 'x'"),
+    (["normalize", "--forest", "0", "extra"],
+     "hforest: unrecognized arguments: extra"),
+])
+def test_usage_errors_are_one_syntax_error_line(capsys, argv, err):
+    assert _exit(lambda: main(argv), capsys) == (2, "", f"syntax error: {err}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,9 @@
 
 Every call must answer, refuse or report a syntax error (exit 0, 1 or 2)
 within a time bound, with at most one line on stderr and no traceback.
-The runs are derandomized, so the examples are the same on every run.
+Option values go in as ``--opt=value`` or as a separate token, so a value
+that starts with ``-`` reaches argparse as an option would.  The runs are
+derandomized, so the examples are the same on every run.
 """
 
 import contextlib
@@ -37,7 +39,8 @@ def forest_terms(colors: str, nested: bool):
 terms = forest_terms("012", nested=True) | st.just("bot")
 flat_terms = forest_terms("01", nested=False)
 
-forest_args = st.one_of(terms, st.text(max_size=30))
+forest_args = st.one_of(terms, st.text(max_size=30),
+                        st.text(max_size=10).map("-{}".format))
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
@@ -66,6 +69,8 @@ def call(argv):
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors and help
+        code = exc.code
     except TimeoutError:
         raise AssertionError(f"{argv} ran past {SECONDS} s") from None
     finally:
@@ -77,35 +82,43 @@ def call(argv):
     assert "Traceback" not in err, (argv, err)
 
 
+def option(name, value, split):
+    return ["--" + name, str(value)] if split else [f"--{name}={value}"]
+
+
 @FUZZ
-@given(forest=forest_args, bound=st.none() | st.integers())
-def test_classify(forest, bound):
-    argv = ["classify", f"--forest={forest}"]
+@example(forest="-x", bound=None, split=True)
+@given(forest=forest_args, bound=st.none() | st.integers(), split=st.booleans())
+def test_classify(forest, bound, split):
+    argv = ["classify", *option("forest", forest, split)]
     if bound is not None:
-        argv.append(f"--bound={bound}")
+        argv += option("bound", bound, split)
     call(argv)
 
 
 @FUZZ
 @given(forests=st.lists(flat_terms, min_size=1, max_size=30),
        strings=st.lists(forest_args, max_size=3),
-       k=st.none() | st.integers(-1, 4))
-def test_report(forests, strings, k):
-    argv = ["report", "--space=chain:2"]
-    argv += [f"--forest={f}" for f in forests + strings]
+       k=st.none() | st.integers(-1, 4), split=st.booleans())
+def test_report(forests, strings, k, split):
+    argv = ["report", *option("space", "chain:2", split)]
+    for f in forests + strings:
+        argv += option("forest", f, split)
     if k is not None:
-        argv.append(f"--k={k}")
+        argv += option("k", k, split)
     call(argv)
 
 
 @FUZZ
 # a color far above the others must not cost one mask per color below it
-@example(partition={"labels": [10 ** 20, 0]}, forest="0", points=2, k=None)
+@example(partition={"labels": [10 ** 20, 0]}, forest="0", points=2, k=None,
+         split=False)
 @given(partition=partitions, forest=forest_args, points=st.integers(0, 4),
-       k=st.none() | st.integers(-1, 4))
-def test_reduce_check(partition, forest, points, k):
-    argv = ["reduce-check", f"--space=chain:{points}",
-            f"--partition={json.dumps(partition)}", f"--forest={forest}"]
+       k=st.none() | st.integers(-1, 4), split=st.booleans())
+def test_reduce_check(partition, forest, points, k, split):
+    argv = ["reduce-check", *option("space", f"chain:{points}", split),
+            *option("partition", json.dumps(partition), split),
+            *option("forest", forest, split)]
     if k is not None:
-        argv.append(f"--k={k}")
+        argv += option("k", k, split)
     call(argv)

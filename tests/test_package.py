@@ -78,9 +78,14 @@ FOREST_VERB = {"hforest", "hforest.errors", "hforest.forest", "hforest.nested"}
     (["dh-check", "--space", "chain:2", "--partition", '{"labels": [0, 1]}',
       "--forest", "0*1"], {"hforest.space"}),
     (["degrees", "--space", "chain:2"], {"hforest.space", "hforest.degrees"}),
+    (["classify", "--forest", "s(0*1)", "--bound", "8"],
+     {"hforest.canonical", "hforest.ordinal"}),
+    (["fh-check", "--space", "chain:2", "--omega-base", "[[[1]]]",
+      "--partition", '{"labels": [0, 1]}', "--forest", "0*1"], {"hforest.space"}),
+    (["reduce-check", "--space", "chain:2"], {"hforest.space"}),
+    (["report", "--space", "chain:2", "--forest", "0*1"], {"hforest.space"}),
 ])
 def test_each_verb_imports_only_what_it_runs(argv, modules):
     imported = _imports(*argv)
     assert imported & (LIBRARY | {"hforest"}) == FOREST_VERB | modules
-    if not modules:
-        assert not imported & {"dataclasses", "inspect", "typing"}
+    assert not imported & {"dataclasses", "inspect", "typing"}
