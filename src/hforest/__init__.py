@@ -11,9 +11,9 @@ _EXPORTS = {
     "ordinal": """OMEGA ONE ZERO Ord OrdinalSyntaxError add cmp_ord format_ordinal
         omega_pow ord_of parity parse_ordinal pred succ""",
     "forest": """EMPTY Forest ForestError Tree as_forest forest_from_json
-        forest_to_json h_equiv h_leq is_join_irreducible join label_equiv
-        label_leq max_color meet node_count normalize rank singleton
-        validate_forest wrap""",
+        forest_to_json h_equiv h_leq is_join_irreducible join label_leq
+        max_color meet node_count normalize rank singleton validate_forest
+        wrap""",
     "nested": """LabeledNPreorder TermSyntaxError flatten l_join morphism_exists
         nesting_level parse_term print_term s_embed unflatten""",
     "canonical": """BAR PLAIN CanonicalName canonical_size classify_2forest

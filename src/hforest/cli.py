@@ -6,33 +6,22 @@ Verbs dispatch to the library; inputs are inline literals or file paths
 
 A call is mostly interpreter start-up and import, so each verb imports
 the library modules it runs inside its own function and loaders; only
-``forest`` and ``nested``, which every verb runs, load at the top.  For
-the same reason ``main`` builds only the subparser of the verb that argv
-names.  It builds all of VERBS when argv names no verb, so that the
-top-level help and the unknown-verb error still list every verb.  A usage
-error is one ``syntax error:`` line on stderr, as every other failure is.
+``forest`` and ``nested``, which every verb runs, load at the top, and
+``json`` loads only where a call reads or writes JSON.  For the same
+reason ``main`` reads argv off the OPTIONS table itself, and imports
+argparse only for help and usage errors.  A usage error is one
+``syntax error:`` line on stderr, as every other failure is.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import ForestError, OrdinalSyntaxError, SpaceError, TermSyntaxError
-from .forest import (
-    Forest,
-    forest_from_json,
-    forest_to_json,
-    h_leq,
-    join,
-    max_color,
-    meet,
-    normalize,
-    paths,
-    validate_forest,
-)
+from .forest import (Forest, forest_from_json, forest_to_json, h_leq, join,
+                     max_color, meet, normalize, paths, validate_forest)
 from .nested import flatten, nesting_level, parse_term, print_term
 
 EXIT_OK = 0
@@ -60,11 +49,17 @@ def _read_maybe_file(value: str) -> str:
     return value
 
 
+def _loads(text: str):
+    import json
+
+    return json.loads(text)
+
+
 def load_forest(value: str) -> Forest:
     """A forest from a term literal, inline JSON, or a file of either."""
     text = _read_maybe_file(value).strip()
     if text.startswith("["):
-        return forest_from_json(json.loads(text))
+        return forest_from_json(_loads(text))
     return parse_term(text)
 
 
@@ -89,7 +84,7 @@ def load_space(value: str):
             except ValueError:  # longer than int() converts
                 n = MAX_SPACE_POINTS + 1
             return builder(_point_count(n))
-    data = json.loads(text)
+    data = _loads(text)
     if isinstance(data, dict):
         _point_count(data.get("points"))
     return FiniteSpace.from_json(data)
@@ -99,8 +94,7 @@ def _point_count(n) -> int:
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise SpaceError("the point count must be a non-negative integer")
     if n > MAX_SPACE_POINTS:
-        raise SpaceError(
-            f"the space has more than {MAX_SPACE_POINTS} points")
+        raise SpaceError(f"the space has more than {MAX_SPACE_POINTS} points")
     return n
 
 
@@ -112,14 +106,13 @@ def load_base(value: str, space):
         return up_sets(space)
     if text == "powerset":
         return powerset_base(space)
-    return base_from_json(json.loads(text), space.n)
+    return base_from_json(_loads(text), space.n)
 
 
 def load_omega_base(value: str, space):
     from .space import base_from_json, check_omega_nesting
 
-    text = _read_maybe_file(value).strip()
-    data = json.loads(text)
+    data = _loads(_read_maybe_file(value).strip())
     if not isinstance(data, list):
         raise SpaceError("omega-base JSON must be a list of levels")
     # base_from_json closes each level, so only the nesting is left to check
@@ -133,8 +126,7 @@ def load_partition(value: str, k: int | None, forest: Forest, space):
     that admit both."""
     from .space import KPartition
 
-    text = _read_maybe_file(value).strip()
-    data = json.loads(text)
+    data = _loads(_read_maybe_file(value).strip())
     if not isinstance(data, dict) or "labels" not in data:
         raise SpaceError("partition JSON must have 'labels'")
     labels = data["labels"]
@@ -154,14 +146,11 @@ def load_partition(value: str, k: int | None, forest: Forest, space):
 # emitters
 
 
-def emit_forest(f: Forest, mode: str) -> str:
-    if mode == "term":
-        return print_term(f)
+def emit_forest(f: Forest, mode: str):
+    """The forest as term or DOT text, or as the JSON value main prints."""
     if mode == "json":
-        return json.dumps(forest_to_json(f))
-    if mode == "dot":
-        return forest_to_dot(f)
-    raise SpaceError(f"unsupported emit mode {mode!r}")
+        return forest_to_json(f)
+    return print_term(f) if mode == "term" else forest_to_dot(f)
 
 
 def forest_to_dot(f: Forest) -> str:
@@ -189,30 +178,29 @@ def _family_json(fam) -> list:
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each returns its output as text, or as a value main prints as JSON
 
 
-def cmd_compare(args) -> str:
+def cmd_compare(args):
     lhs, rhs = load_forest(args.lhs), load_forest(args.rhs)
-    return json.dumps({"h_leq": h_leq(lhs, rhs), "h_geq": h_leq(rhs, lhs)})
+    return {"h_leq": h_leq(lhs, rhs), "h_geq": h_leq(rhs, lhs)}
 
 
-def cmd_meet(args) -> str:
+def cmd_meet(args):
     return emit_forest(meet(load_forest(args.lhs), load_forest(args.rhs)),
                        args.emit)
 
 
-def cmd_join(args) -> str:
-    return emit_forest(
-        normalize(join(load_forest(args.lhs), load_forest(args.rhs))),
-        args.emit)
+def cmd_join(args):
+    joined = join(load_forest(args.lhs), load_forest(args.rhs))
+    return emit_forest(normalize(joined), args.emit)
 
 
-def cmd_normalize(args) -> str:
+def cmd_normalize(args):
     return emit_forest(normalize(load_forest(args.forest)), args.emit)
 
 
-def cmd_classify(args) -> str:
+def cmd_classify(args):
     from .canonical import classify_2forest, classify_2tree_nested
     from .ordinal import format_ordinal
 
@@ -226,14 +214,11 @@ def cmd_classify(args) -> str:
         name = classify_2forest(f)
     if args.emit == "term":
         return str(name)
-    return json.dumps({
-        "kind": name.kind,
-        "index": format_ordinal(name.index),
-        "name": str(name),
-    })
+    return {"kind": name.kind, "index": format_ordinal(name.index),
+            "name": str(name)}
 
 
-def cmd_canonical(args) -> str:
+def cmd_canonical(args):
     from .canonical import CanonicalName, _t_size, representative
     from .ordinal import parse_ordinal
 
@@ -246,23 +231,19 @@ def cmd_canonical(args) -> str:
     return emit_forest(representative(CanonicalName(kind, alpha)), args.emit)
 
 
-def cmd_flatten(args) -> str:
+def cmd_flatten(args):
     f = load_forest(args.forest)
     depth = max(nesting_level(f), 1)
     x = flatten(f, depth)
-    return json.dumps({
-        "size": x.size,
-        "depth": x.depth,
-        "labels": list(x.labels),
-        "orders": [x.pairs(i) for i in range(x.depth)],
-    })
+    return {"size": x.size, "depth": x.depth, "labels": list(x.labels),
+            "orders": [x.pairs(i) for i in range(x.depth)]}
 
 
-def cmd_parse(args) -> str:
+def cmd_parse(args):
     return emit_forest(load_forest(args.forest), args.emit)
 
 
-def cmd_dh_check(args) -> str:
+def cmd_dh_check(args):
     from .space import dh_witness_family
 
     space = load_space(args.space)
@@ -273,21 +254,20 @@ def cmd_dh_check(args) -> str:
     out = {"member": witness is not None}
     if witness is not None:
         out["witness"] = _family_json(witness)
-    return json.dumps(out)
+    return out
 
 
-def cmd_fh_check(args) -> str:
+def cmd_fh_check(args):
     from .space import fh_membership
 
     space = load_space(args.space)
     levels = load_omega_base(args.omega_base, space)
     forest = load_forest(args.forest)
     partition = load_partition(args.partition, args.k, forest, space)
-    return json.dumps(
-        {"member": fh_membership(partition, forest, levels, space)})
+    return {"member": fh_membership(partition, forest, levels, space)}
 
 
-def cmd_reduce_check(args) -> str:
+def cmd_reduce_check(args):
     from .space import (dh_witness_family, has_reduction_property, is_reduced,
                         reduce_family)
 
@@ -303,21 +283,19 @@ def cmd_reduce_check(args) -> str:
             fam = reduce_family(fam, base, space)
             out["reduced"] = is_reduced(fam)
             out["reduced_family"] = _family_json(fam)
-    return json.dumps(out)
+    return out
 
 
-def cmd_degrees(args) -> str:
+def cmd_degrees(args):
     from .degrees import degree_poset, degrees_to_dot, degrees_to_json
 
     space = load_space(args.space)
     poset = degree_poset(space, args.k,
                          override_size_guard=args.override_size_guard)
-    if args.emit == "dot":
-        return degrees_to_dot(poset)
-    return json.dumps(degrees_to_json(poset))
+    return degrees_to_dot(poset) if args.emit == "dot" else degrees_to_json(poset)
 
 
-def cmd_report(args) -> str:
+def cmd_report(args):
     from .space import hierarchy_report, report_to_dot
 
     space = load_space(args.space)
@@ -331,12 +309,12 @@ def cmd_report(args) -> str:
         validate_forest(f, k)
     report = hierarchy_report(space, bases, forests, k,
                               override_size_guard=args.override_size_guard)
-    if args.emit == "dot":
-        return report_to_dot(report)
-    return json.dumps(report)
+    return report_to_dot(report) if args.emit == "dot" else report
 
 
 def cmd_selftest(args) -> str:
+    import json
+
     from . import acceptance
 
     results = acceptance.run_suites(args.scope)
@@ -360,48 +338,105 @@ class _SelftestFailure(Exception):
 # argument plumbing
 
 
-# verb -> (function, flags).  _build_parser adds the arguments the flags
-# name; the "emit" flag's value is the default --emit mode.
+_TERM, _PART = "forest term or file", 'partition JSON {"labels": [...]} or file'
+_SPACE = "space JSON/file, chain:N, antichain:N, diamond"
+_LEVELS, _MODES = "JSON list of base levels, or a file", ("json", "term", "dot")
+
+# flag -> (option string, argparse keywords).  _read and argparse both take
+# a verb's options off this table; an option's dest is its string's.
+OPTIONS = {
+    "lhs": ("--lhs", dict(required=True, help=_TERM)),
+    "rhs": ("--rhs", dict(required=True, help=_TERM)),
+    "forest": ("--forest", dict(required=True, help=_TERM)),
+    "forest?": ("--forest", dict(help=_TERM)),
+    "forests": ("--forest", dict(action="append", required=True,
+                                 help=_TERM + " (repeatable)")),
+    "space": ("--space", dict(required=True, help=_SPACE)),
+    "base": ("--base", dict(default="upsets",
+                            help="base JSON/file, 'upsets' or 'powerset'")),
+    "omega-base": ("--omega-base", dict(required=True, help=_LEVELS)),
+    "omega-base?": ("--omega-base", dict(help=_LEVELS)),
+    "partition": ("--partition", dict(required=True, help=_PART)),
+    "partition?": ("--partition", dict(help=_PART)),
+    "k": ("--k", dict(type=int, help="number of colors")),
+    "k=2": ("--k", dict(type=int, default=2, help="number of colors")),
+    "emit=json": ("--emit", dict(choices=_MODES, default="json")),
+    "emit=term": ("--emit", dict(choices=_MODES, default="term")),
+    "guard": ("--override-size-guard", dict(action="store_true",
+                                            default=False)),
+    "bound": ("--bound", dict(type=int,
+                              help="size bound for nested classification")),
+    "alpha": ("--alpha", dict(required=True, help="ordinal notation over w")),
+    "polarity": ("--polarity", dict(choices=("plain", "bar", "join"),
+                                    default="plain")),
+    "scope": ("--scope", dict(choices=("fast", "full"), default="fast")),
+}
+
+# verb -> (function, its flags in the order its usage line lists them)
 VERBS = {
-    "compare": (cmd_compare, dict(pair=True)),
-    "meet": (cmd_meet, dict(pair=True, emit="term")),
-    "join": (cmd_join, dict(pair=True, emit="term")),
-    "normalize": (cmd_normalize, dict(forest=True, emit="term")),
-    "classify": (cmd_classify, dict(forest=True, emit="json", extra=(
-        (("--bound",), dict(type=int, default=None,
-                            help="size bound for nested classification")),))),
-    "canonical": (cmd_canonical, dict(emit="term", extra=(
-        (("--alpha",), dict(required=True, help="ordinal notation over w")),
-        (("--polarity",), dict(choices=("plain", "bar", "join"),
-                               default="plain")),))),
-    "flatten": (cmd_flatten, dict(forest=True)),
-    "parse": (cmd_parse, dict(forest=True, emit="json")),
-    "dh-check": (cmd_dh_check, dict(space=True, base=True, partition=True,
-                                    forest=True, k=True)),
-    "fh-check": (cmd_fh_check, dict(space=True, omega_base=True,
-                                    partition=True, forest=True, k=True)),
-    "reduce-check": (cmd_reduce_check, dict(space=True, base=True,
-                                            partition_opt=True,
-                                            forest_opt=True, k=True)),
-    "degrees": (cmd_degrees, dict(space=True, emit="json", guard=True, extra=(
-        (("--k",), dict(type=int, default=2, help="number of colors")),))),
-    "report": (cmd_report, dict(space=True, base=True, omega_base_opt=True,
-                                forests=True, k=True, emit="json",
-                                guard=True)),
-    "selftest": (cmd_selftest, dict(extra=(
-        (("--scope",), dict(choices=("fast", "full"), default="fast")),))),
+    "compare": (cmd_compare, "lhs rhs"),
+    "meet": (cmd_meet, "lhs rhs emit=term"),
+    "join": (cmd_join, "lhs rhs emit=term"),
+    "normalize": (cmd_normalize, "forest emit=term"),
+    "classify": (cmd_classify, "forest emit=json bound"),
+    "canonical": (cmd_canonical, "emit=term alpha polarity"),
+    "flatten": (cmd_flatten, "forest"),
+    "parse": (cmd_parse, "forest emit=json"),
+    "dh-check": (cmd_dh_check, "forest space base partition k"),
+    "fh-check": (cmd_fh_check, "forest space omega-base partition k"),
+    "reduce-check": (cmd_reduce_check, "forest? space base partition? k"),
+    "degrees": (cmd_degrees, "space emit=json guard k=2"),
+    "report": (cmd_report, "forests space base omega-base? k emit=json guard"),
+    "selftest": (cmd_selftest, "scope"),
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error on one stderr line, as every other failure is."""
+def _read(argv: list):
+    """The arguments argparse would parse from argv, or None for argparse
+    to rule on: help, an unknown verb or flag (an abbreviation too), a
+    missing value or flag, a value that starts with '-', an int that is not
+    plain ASCII digits, a value outside its choices, or a value given to
+    --override-size-guard."""
+    if not argv or argv[0] not in VERBS:
+        return None
+    func, flags = VERBS[argv[0]]
+    options = dict(OPTIONS[flag] for flag in flags.split())
+    args = {option: kw.get("default") for option, kw in options.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        kw = options.get(option, {})
+        action = kw.get("action")
+        if action == "store_true" and not eq:
+            args[option] = True
+            continue
+        value = value if eq else next(tokens, "-")  # "-": argparse reports
+        if (not kw or action == "store_true" or value.startswith("-")
+                or value not in kw.get("choices", (value,))):
+            return None
+        if "type" in kw:  # longer ints are left to argparse's int()
+            if not (value.isascii() and value.isdigit() and len(value) < 20):
+                return None
+            value = int(value)
+        args[option] = (args[option] or []) + [value] if action else value
+    if any(kw.get("required") and args[option] is None
+           for option, kw in options.items()):
+        return None
+    return SimpleNamespace(verb=argv[0], func=func, **{
+        option[2:].replace("-", "_"): value for option, value in args.items()})
 
-    def error(self, message):
-        self.exit(EXIT_SYNTAX, f"syntax error: {self.prog}: {message}\n")
 
+def _build_parser(verbs=VERBS):
+    """The argparse parser with a subparser for each of the given verbs
+    (all of VERBS for the top-level help and the unknown-verb error)."""
+    import argparse
 
-def _build_parser(verbs=VERBS) -> argparse.ArgumentParser:
-    """The parser with a subparser for each of the given verbs."""
+    class _Parser(argparse.ArgumentParser):
+        """Reports a usage error on one stderr line."""
+
+        def error(self, message):
+            self.exit(EXIT_SYNTAX, f"syntax error: {self.prog}: {message}\n")
+
     parser = _Parser(
         prog="hforest",
         description="h-preorder calculus on labeled forests and "
@@ -411,55 +446,21 @@ def _build_parser(verbs=VERBS) -> argparse.ArgumentParser:
         func, flags = VERBS[name]
         p = sub.add_parser(name)
         p.set_defaults(func=func)
-        if flags.get("pair"):
-            p.add_argument("--lhs", required=True, help="forest term or file")
-            p.add_argument("--rhs", required=True, help="forest term or file")
-        if flags.get("forest"):
-            p.add_argument("--forest", required=True,
-                           help="forest term or file")
-        if flags.get("forests"):
-            p.add_argument("--forest", action="append", required=True,
-                           help="forest term or file (repeatable)")
-        if flags.get("forest_opt"):
-            p.add_argument("--forest", help="forest term or file")
-        if flags.get("space"):
-            p.add_argument("--space", required=True,
-                           help="space JSON/file, chain:N, antichain:N, diamond")
-        if flags.get("base"):
-            p.add_argument("--base", default="upsets",
-                           help="base JSON/file, 'upsets' or 'powerset'")
-        if flags.get("omega_base"):
-            p.add_argument("--omega-base", dest="omega_base", required=True,
-                           help="JSON list of base levels, or a file")
-        if flags.get("omega_base_opt"):
-            p.add_argument("--omega-base", dest="omega_base",
-                           help="JSON list of base levels, or a file")
-        if flags.get("partition"):
-            p.add_argument("--partition", required=True,
-                           help='partition JSON {"labels": [...]} or file')
-        if flags.get("partition_opt"):
-            p.add_argument("--partition",
-                           help='partition JSON {"labels": [...]} or file')
-        if flags.get("k"):
-            p.add_argument("--k", type=int, help="number of colors")
-        if flags.get("emit"):
-            p.add_argument("--emit", choices=("json", "term", "dot"),
-                           default=flags["emit"])
-        if flags.get("guard"):
-            p.add_argument("--override-size-guard", action="store_true",
-                           dest="override_size_guard")
-        for names, kwargs in flags.get("extra", ()):
-            p.add_argument(*names, **kwargs)
+        for flag in flags.split():
+            option, kw = OPTIONS[flag]
+            p.add_argument(option, **kw)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    verbs = argv[:1] if argv and argv[0] in VERBS else VERBS
-    args = _build_parser(verbs).parse_args(argv)
+    args = _read(argv)
+    if args is None:
+        verbs = argv[:1] if argv and argv[0] in VERBS else VERBS
+        args = _build_parser(verbs).parse_args(argv)
     try:
         output = args.func(args)
-    except (TermSyntaxError, OrdinalSyntaxError, json.JSONDecodeError) as exc:
+    except (TermSyntaxError, OrdinalSyntaxError, *_json_errors()) as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
     except _SelftestFailure as exc:
@@ -472,8 +473,19 @@ def main(argv=None) -> int:
     except RecursionError:
         print("domain error: input nested too deeply", file=sys.stderr)
         return EXIT_DOMAIN
+    if not isinstance(output, str):
+        import json
+
+        output = json.dumps(output)
     print(output)
     return EXIT_OK
+
+
+def _json_errors() -> tuple:
+    """JSON's decode error once json is loaded, as a call that failed to
+    parse JSON has loaded it; a call that read no JSON does not load it."""
+    json = sys.modules.get("json")
+    return (json.JSONDecodeError,) if json else ()
 
 
 if __name__ == "__main__":

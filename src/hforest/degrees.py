@@ -76,7 +76,9 @@ class DegreePoset(Record):
 
 def degree_poset(space: FiniteSpace, k: int,
                  override_size_guard: bool = False) -> DegreePoset:
-    """Quotient of all k-partitions by mutual reducibility."""
+    """Quotient of all k-partitions by mutual reducibility; k >= 1."""
+    if k < 1:
+        raise SpaceError(f"the number of colors must be at least 1, not {k}")
     check_size_guard(space.n, k, override_size_guard)
     partitions = list(all_partitions(space.n, k))
     maps = monotone_maps(space, space, override_size_guard=True)

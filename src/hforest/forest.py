@@ -12,7 +12,6 @@ labels are compared recursively.
 
 from __future__ import annotations
 
-import json
 import weakref
 from functools import lru_cache
 
@@ -161,10 +160,6 @@ def label_leq(a: Label, b: Label) -> bool:
     if isinstance(a, int) and isinstance(b, int):
         return a == b
     return h_leq(lift(a), lift(b))
-
-
-def label_equiv(a: Label, b: Label) -> bool:
-    return label_leq(a, b) and label_leq(b, a)
 
 
 def h_leq(f: Forest, g: Forest) -> bool:
@@ -341,11 +336,3 @@ def tree_from_json(data) -> Tree:
     elif not isinstance(label, int):
         raise ForestError(f"bad label {label!r}")
     return Tree(label, forest_from_json(data.get("children", [])))
-
-
-def dumps(f: Forest) -> str:
-    return json.dumps(forest_to_json(f))
-
-
-def loads(text: str) -> Forest:
-    return forest_from_json(json.loads(text))

@@ -61,10 +61,15 @@ class FiniteSpace(Record):
     def from_pairs(n: int, pairs) -> "FiniteSpace":
         """Build from a list of i <= j pairs; reflexive-transitive closure taken."""
         up = [1 << i for i in range(n)]
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise SpaceError(f"pair ({i}, {j}) out of range")
-            up[i] |= 1 << j
+        try:
+            for i, j in pairs:
+                if not (0 <= i < n and 0 <= j < n):
+                    raise SpaceError(f"pair ({i}, {j}) out of range")
+                up[i] |= 1 << j
+        except SpaceError:
+            raise
+        except (TypeError, ValueError):  # not pairs of ints
+            raise SpaceError("the order must be a list of point pairs") from None
         changed = True
         while changed:
             changed = False

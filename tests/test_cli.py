@@ -306,6 +306,14 @@ def test_degrees(capsys):
     assert code == 0 and out.startswith("digraph")
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_degrees_needs_a_color(capsys, k):
+    for argv in (["--k", k], [f"--k={k}"]):
+        code, out, err = run(capsys, "degrees", "--space", "chain:2", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"domain error: the number of colors must be at least 1, not {k}\n"
+
+
 def test_report(capsys):
     code, out, _ = run(capsys, "report", "--space", "chain:2",
                        "--base", "upsets", "--forest", "0*1",

@@ -68,6 +68,13 @@ def test_degree_poset_examples():
     assert len(anti) == 3
 
 
+def test_degree_poset_needs_a_color():
+    assert len(degree_poset(chain_space(2), 1)) == 1
+    for k in (0, -1):
+        with pytest.raises(SpaceError, match="at least 1"):
+            degree_poset(chain_space(2), k)
+
+
 def test_degree_poset_order_structure():
     poset = degree_poset(chain_space(2), 2)
     consts = [

@@ -23,7 +23,7 @@ def _python(*argv):
 def test_every_export_is_its_home_modules_object():
     homes = [importlib.import_module(f"hforest.{m}") for m in MODULES]
     assert set(MODULES) <= set(hforest.__all__)
-    assert len(hforest.__all__) == 97
+    assert len(hforest.__all__) == 96
     for name in hforest.__all__:
         value = getattr(hforest, name)
         if name in MODULES:
@@ -68,10 +68,14 @@ def _imports(*argv):
 
 LIBRARY = {f"hforest.{m}" for m in (*MODULES, "errors", "acceptance", "oracles")}
 FOREST_VERB = {"hforest", "hforest.errors", "hforest.forest", "hforest.nested"}
+# argparse and what it loads: a call that parses needs none of them
+PARSER = {"argparse", "gettext", "locale", "shutil"}
 
 
 @pytest.mark.parametrize("argv, modules", [
     (["normalize", "--forest", "0*1"], set()),
+    (["meet", "--lhs", "0*1", "--rhs", "1*0"], set()),
+    (["join", "--lhs=0", "--rhs=1"], set()),
     (["compare", "--lhs", "0", "--rhs", "s(0*1)"], set()),
     (["flatten", "--forest", "s(0|1)"], set()),
     (["canonical", "--alpha", "w+1"], {"hforest.canonical", "hforest.ordinal"}),
@@ -88,4 +92,10 @@ FOREST_VERB = {"hforest", "hforest.errors", "hforest.forest", "hforest.nested"}
 def test_each_verb_imports_only_what_it_runs(argv, modules):
     imported = _imports(*argv)
     assert imported & (LIBRARY | {"hforest"}) == FOREST_VERB | modules
-    assert not imported & {"dataclasses", "inspect", "typing"}
+    assert not imported & ({"dataclasses", "inspect", "typing"} | PARSER)
+    if argv[0] in ("normalize", "meet", "join", "canonical"):  # term output
+        assert "json" not in imported
+
+
+def test_help_imports_argparse():
+    assert PARSER <= _imports("normalize", "-h")

@@ -55,6 +55,13 @@ def test_space_construction():
     assert round_trip == chain
 
 
+@pytest.mark.parametrize("le", [[[]], [[0]], [[0, 1, 1]], [[0, 1.0]],
+                                [["0", 1]], {"0": 1}, [7], "01", None])
+def test_space_json_pairs_must_be_point_pairs(le):
+    with pytest.raises(SpaceError, match="point pairs"):
+        FiniteSpace.from_json({"points": 2, "le": le})
+
+
 def test_from_pairs_closure_and_antisymmetry():
     sp = FiniteSpace.from_pairs(3, [(0, 1), (1, 2)])
     assert sp.leq(0, 2)
