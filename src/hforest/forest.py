@@ -132,16 +132,23 @@ def _label_size(label: Label) -> int:
 def max_color(f: Forest) -> int:
     """Largest color occurring anywhere (-1 for the empty forest)."""
     best = -1
-    for t in as_forest(f):
-        c = t.label if isinstance(t.label, int) else max_color(t.label)
-        best = max(best, c, max_color(t.children))
+    todo = list(as_forest(f))  # trees still to visit, nested labels' too
+    while todo:
+        t = todo.pop()
+        if isinstance(t.label, int):
+            if t.label > best:
+                best = t.label
+        else:
+            todo.extend(t.label)
+        todo.extend(t.children)
     return best
 
 
 def validate_forest(f: Forest, k: int) -> None:
     """Check every color is < k."""
-    if max_color(f) >= k:
-        raise ForestError(f"color {max_color(f)} out of range for k={k}")
+    top = max_color(f)
+    if top >= k:
+        raise ForestError(f"color {top} out of range for k={k}")
 
 
 def rank(f: Forest) -> int:

@@ -25,7 +25,6 @@ from .forest import (
     as_label,
     join,
     lift,
-    max_color,
     normalize,
     normalize_label,
     paths,
@@ -270,14 +269,35 @@ def morphism_exists(x: LabeledNPreorder, y: LabeledNPreorder) -> bool:
 # parse_term refuses a term with more pending '*' operands plus open '(' /
 # 's(' than this, with ForestError, instead of building a tree that deep.
 MAX_TERM_DEPTH = 1000
+# parse_term keeps the forests of its last MEMO_TERMS distinct texts of at
+# most MEMO_TERM_LENGTH characters, so a repeated short text is parsed once.
+# A forest is a tuple, which cannot be weakly referenced, so these two bounds
+# are what keep the memo small: MEMO_TERMS forests of MEMO_TERM_LENGTH nodes.
+MEMO_TERMS = 1024
+MEMO_TERM_LENGTH = 256
 
 _EMPTY_LABEL = "the empty forest is not a label"
 
 
 def parse_term(text: str, k: int | None = None) -> Forest:
-    """Parse a term of the grammar above in one pass, with no recursion."""
+    """Parse a term of the grammar above in one pass, with no recursion.
+
+    Equal texts of at most MEMO_TERM_LENGTH characters return one shared
+    forest.  With k, a color at or above k is refused.
+    """
+    parse = _parse if len(text) <= MEMO_TERM_LENGTH else _parse.__wrapped__
+    result, top = parse(text)
+    if k is not None and top >= k:
+        raise TermSyntaxError(f"color out of range for k={k}", 0)
+    return result
+
+
+@lru_cache(maxsize=MEMO_TERMS)
+def _parse(text: str) -> tuple:
+    """(forest, largest color literal or -1) of a term; errors are raised."""
     n = len(text)
     pos = 0
+    top = -1  # the largest color read so far
     frames = []  # (items, stars, is_s) of each enclosing '(' or 's('
     items = []  # finished trees of the innermost open forest
     stars = []  # left operands of the pending '*' in the current item
@@ -300,6 +320,8 @@ def parse_term(text: str, k: int | None = None) -> Forest:
                         color = int(text[start:pos])
                     except ValueError:  # longer than int() converts
                         raise TermSyntaxError("number too long", start) from None
+                if color > top:
+                    top = color
                 atom = (Tree(color),)
             elif c == "⊥" or text.startswith("bot", pos):
                 pos += 1 if c == "⊥" else 3
@@ -350,10 +372,7 @@ def parse_term(text: str, k: int | None = None) -> Forest:
                     if not atom:
                         raise TermSyntaxError(_EMPTY_LABEL, pos)
                     atom = (Tree(as_label(atom)),)
-    result = tuple(items)
-    if k is not None and max_color(result) >= k:
-        raise TermSyntaxError(f"color out of range for k={k}", 0)
-    return result
+    return tuple(items), top
 
 
 def print_term(f: Forest) -> str:

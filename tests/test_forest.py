@@ -83,6 +83,14 @@ def test_validate_and_max_color():
     validate_forest(chain(0, 2), 3)
     with pytest.raises(ForestError):
         validate_forest(chain(0, 2), 2)
+    assert max_color(parse_term("s(0*3)|1")) == 3
+    # as deep as the term parser reads: the walk keeps its own stack
+    for text in ("0*" * 999 + "1", "(0*" * 500 + "1" + ")" * 500):
+        deep = parse_term(text)
+        assert max_color(deep) == 1
+        validate_forest(deep, 2)
+        with pytest.raises(ForestError, match="color 1 out of range for k=1"):
+            validate_forest(deep, 1)
 
 
 def test_normalize_examples():

@@ -1,10 +1,12 @@
 """Iterated forests, flatten/unflatten, the term DSL."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
-from hforest import oracles
+from hforest import nested, oracles
 from hforest.forest import (
     EMPTY,
     Forest,
@@ -17,6 +19,7 @@ from hforest.forest import (
     h_leq,
     join,
     lift,
+    max_color,
     normalize,
     paths,
     singleton,
@@ -24,6 +27,8 @@ from hforest.forest import (
 )
 from hforest.nested import (
     MAX_TERM_DEPTH,
+    MEMO_TERM_LENGTH,
+    MEMO_TERMS,
     LabeledNPreorder,
     TermSyntaxError,
     flatten,
@@ -137,6 +142,42 @@ def test_parse_color_bound():
     parse_term("0|1", k=2)
     with pytest.raises(TermSyntaxError):
         parse_term("0|2", k=2)
+    # the bound is read off the parse, so it holds as deep as the parser reads
+    deep = "0*" * 999
+    assert parse_term(deep + "1", 2) == parse_term(deep + "1")
+    with pytest.raises(TermSyntaxError, match=r"color out of range for k=2 \(at position 0\)"):
+        parse_term(deep + "2", 2)
+
+
+def test_parse_memo():
+    assert parse_term("0*(1|2)|s(3)") is parse_term("0*(1|2)|s(3)")
+    outcomes = []
+    for _ in range(2):
+        with pytest.raises(TermSyntaxError) as exc:
+            parse_term("0*(1|)")
+        outcomes.append((str(exc.value), exc.value.pos))
+    assert outcomes[0] == outcomes[1] == ("unexpected character ')' (at position 5)", 5)
+    # a k refusal on a miss and on a hit; the answer without k in between
+    for expect_miss in (True, False):
+        misses = nested._parse.cache_info().misses
+        with pytest.raises(TermSyntaxError, match="color out of range for k=5"):
+            parse_term("4*(3|5*1)", 5)
+        assert (nested._parse.cache_info().misses > misses) is expect_miss
+        assert parse_term("4*(3|5*1)", 6) is parse_term("4*(3|5*1)")
+    # a text longer than MEMO_TERM_LENGTH is parsed afresh and not kept
+    long_text = "0*" * 147 + "987654"
+    assert len(long_text) == 300 > MEMO_TERM_LENGTH
+    info = nested._parse.cache_info()
+    tree = parse_term(long_text)[0]
+    assert nested._parse.cache_info() == info
+    ref = weakref.ref(tree)
+    del tree
+    gc.collect()
+    assert ref() is None
+    # the memo is bounded
+    for i in range(2000):
+        parse_term(f"{i}*{i + 1}")
+    assert nested._parse.cache_info().currsize == MEMO_TERMS == 1024
 
 
 def test_parse_errors():
@@ -331,15 +372,23 @@ def test_parser_matches_reference():
         texts.append("".join(rng.choices(_TOKENS, _WEIGHTS, k=k)))
     parsed, errors = 0, set()
     for text in texts:
-        kind, got = _parse_outcome(parse_term, text)
         ref_kind, want = _parse_outcome(reference_parse_term, text)
-        assert kind == ref_kind, text
+        for _ in range(2):  # the second call is a memo hit for a short text
+            kind, got = _parse_outcome(parse_term, text)
+            assert kind == ref_kind, text
+            if kind == "ok":
+                assert len(got) == len(want), text
+                assert all(a is b for a, b in zip(got, want)), text
+            else:
+                assert got == want, text
         if kind == "ok":
-            assert len(got) == len(want), text
-            assert all(a is b for a, b in zip(got, want)), text
+            top = max_color(want)
+            assert parse_term(text, top + 1) == got, text
+            if top >= 0:
+                with pytest.raises(TermSyntaxError, match="color out of range"):
+                    parse_term(text, top)
             parsed += 1
         else:
-            assert got == want, text
             errors.add(got[0].split(" (at")[0].split(" '")[0])
     assert parsed > 5_000
     assert errors == {
