@@ -290,8 +290,7 @@ def cmd_degrees(args):
     from .degrees import degree_poset, degrees_to_dot, degrees_to_json
 
     space = load_space(args.space)
-    poset = degree_poset(space, args.k,
-                         override_size_guard=args.override_size_guard)
+    poset = degree_poset(space, args.k)
     return degrees_to_dot(poset) if args.emit == "dot" else degrees_to_json(poset)
 
 
@@ -307,8 +306,7 @@ def cmd_report(args):
     k = args.k if args.k is not None else 2
     for f in forests:
         validate_forest(f, k)
-    report = hierarchy_report(space, bases, forests, k,
-                              override_size_guard=args.override_size_guard)
+    report = hierarchy_report(space, bases, forests, k)
     return report_to_dot(report) if args.emit == "dot" else report
 
 
@@ -343,7 +341,9 @@ _SPACE = "space JSON/file, chain:N, antichain:N, diamond"
 _LEVELS, _MODES = "JSON list of base levels, or a file", ("json", "term", "dot")
 
 # flag -> (option string, argparse keywords).  _read and argparse both take
-# a verb's options off this table; an option's dest is its string's.
+# a verb's options off this table; an option's dest is its string's.  An
+# emit flag names its default, then the other modes a verb can write if
+# it cannot write all three.
 OPTIONS = {
     "lhs": ("--lhs", dict(required=True, help=_TERM)),
     "rhs": ("--rhs", dict(required=True, help=_TERM)),
@@ -362,8 +362,8 @@ OPTIONS = {
     "k=2": ("--k", dict(type=int, default=2, help="number of colors")),
     "emit=json": ("--emit", dict(choices=_MODES, default="json")),
     "emit=term": ("--emit", dict(choices=_MODES, default="term")),
-    "guard": ("--override-size-guard", dict(action="store_true",
-                                            default=False)),
+    "emit=json|term": ("--emit", dict(choices=_MODES[:2], default="json")),
+    "emit=json|dot": ("--emit", dict(choices=_MODES[::2], default="json")),
     "bound": ("--bound", dict(type=int,
                               help="size bound for nested classification")),
     "alpha": ("--alpha", dict(required=True, help="ordinal notation over w")),
@@ -378,15 +378,15 @@ VERBS = {
     "meet": (cmd_meet, "lhs rhs emit=term"),
     "join": (cmd_join, "lhs rhs emit=term"),
     "normalize": (cmd_normalize, "forest emit=term"),
-    "classify": (cmd_classify, "forest emit=json bound"),
+    "classify": (cmd_classify, "forest emit=json|term bound"),
     "canonical": (cmd_canonical, "emit=term alpha polarity"),
     "flatten": (cmd_flatten, "forest"),
     "parse": (cmd_parse, "forest emit=json"),
     "dh-check": (cmd_dh_check, "forest space base partition k"),
     "fh-check": (cmd_fh_check, "forest space omega-base partition k"),
     "reduce-check": (cmd_reduce_check, "forest? space base partition? k"),
-    "degrees": (cmd_degrees, "space emit=json guard k=2"),
-    "report": (cmd_report, "forests space base omega-base? k emit=json guard"),
+    "degrees": (cmd_degrees, "space emit=json|dot k=2"),
+    "report": (cmd_report, "forests space base omega-base? k emit=json|dot"),
     "selftest": (cmd_selftest, "scope"),
 }
 
@@ -395,8 +395,7 @@ def _read(argv: list):
     """The arguments argparse would parse from argv, or None for argparse
     to rule on: help, an unknown verb or flag (an abbreviation too), a
     missing value or flag, a value that starts with '-', an int that is not
-    plain ASCII digits, a value outside its choices, or a value given to
-    --override-size-guard."""
+    plain ASCII digits, or a value outside its choices."""
     if not argv or argv[0] not in VERBS:
         return None
     func, flags = VERBS[argv[0]]
@@ -406,19 +405,15 @@ def _read(argv: list):
     for token in tokens:
         option, eq, value = token.partition("=")
         kw = options.get(option, {})
-        action = kw.get("action")
-        if action == "store_true" and not eq:
-            args[option] = True
-            continue
         value = value if eq else next(tokens, "-")  # "-": argparse reports
-        if (not kw or action == "store_true" or value.startswith("-")
+        if (not kw or value.startswith("-")
                 or value not in kw.get("choices", (value,))):
             return None
         if "type" in kw:  # longer ints are left to argparse's int()
             if not (value.isascii() and value.isdigit() and len(value) < 20):
                 return None
             value = int(value)
-        args[option] = (args[option] or []) + [value] if action else value
+        args[option] = (args[option] or []) + [value] if "action" in kw else value
     if any(kw.get("required") and args[option] is None
            for option, kw in options.items()):
         return None
@@ -477,7 +472,14 @@ def main(argv=None) -> int:
         import json
 
         output = json.dumps(output)
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at shutdown stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
     return EXIT_OK
 
 

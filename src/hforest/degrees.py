@@ -12,22 +12,16 @@ from itertools import product
 
 from ._record import Record, set_field
 from .nested import LabeledNPreorder, morphism_exists
-from .space import FiniteSpace, KPartition, SpaceError, all_partitions, check_size_guard
+from .space import (FiniteSpace, KPartition, SpaceError, all_partitions,
+                    check_size_guard, hasse_edges)
 
 
-def monotone_maps(x: FiniteSpace, y: FiniteSpace, override_size_guard: bool = False):
+def monotone_maps(x: FiniteSpace, y: FiniteSpace):
     """All order-preserving functions from x to y, as tuples of images."""
-    check_size_guard(max(x.n, y.n), 2, override_size_guard)
-    out = []
-    for images in product(range(y.n), repeat=x.n):
-        if all(
-            y.leq(images[i], images[j])
-            for i in range(x.n)
-            for j in range(x.n)
-            if x.leq(i, j)
-        ):
-            out.append(images)
-    return out
+    check_size_guard(max(x.n, y.n), 2)
+    pairs = [(i, j) for i in range(x.n) for j in range(x.n) if i != j and x.leq(i, j)]
+    return [images for images in product(range(y.n), repeat=x.n)
+            if all(y.up[images[i]] >> images[j] & 1 for i, j in pairs)]
 
 
 def wadge_leq(a: KPartition, b: KPartition, space: FiniteSpace,
@@ -74,40 +68,31 @@ class DegreePoset(Record):
         ]
 
 
-def degree_poset(space: FiniteSpace, k: int,
-                 override_size_guard: bool = False) -> DegreePoset:
-    """Quotient of all k-partitions by mutual reducibility; k >= 1."""
+def degree_poset(space: FiniteSpace, k: int) -> DegreePoset:
+    """Quotient of all k-partitions by mutual reducibility; k >= 1.
+
+    Row i is the bitmask of the partitions j with partition i = partition
+    j o f for some monotone f: the up-set of i.  Two partitions are
+    mutually reducible exactly when their rows are equal.
+    """
     if k < 1:
         raise SpaceError(f"the number of colors must be at least 1, not {k}")
-    check_size_guard(space.n, k, override_size_guard)
+    check_size_guard(space.n, k)
     partitions = list(all_partitions(space.n, k))
-    maps = monotone_maps(space, space, override_size_guard=True)
+    maps = monotone_maps(space, space)
     index = {a.labels: i for i, a in enumerate(partitions)}
-    # red[i][j]: partition i is partition j o f for some monotone f
-    red = [[False] * len(partitions) for _ in partitions]
+    rows = [0] * len(partitions)
     for j, b in enumerate(partitions):
-        for f in maps:
-            red[index[tuple(b.labels[x] for x in f)]][j] = True
-    classes: list[list] = []
-    for i, a in enumerate(partitions):
-        for members in classes:
-            j = index[members[0].labels]
-            if red[i][j] and red[j][i]:
-                members.append(a)
-                break
-        else:
-            classes.append([a])
-    leq = []
-    for members in classes:
-        i = index[members[0].labels]
-        leq.append(
-            frozenset(
-                c
-                for c, other in enumerate(classes)
-                if red[i][index[other[0].labels]]
-            )
-        )
-    return DegreePoset(space, k, tuple(tuple(c) for c in classes), tuple(leq))
+        bit = 1 << j
+        for i in {index[tuple(b.labels[x] for x in f)] for f in maps}:
+            rows[i] |= bit
+    classes: dict = {}  # row -> members, in order of first member
+    for row, a in zip(rows, partitions):
+        classes.setdefault(row, []).append(a)
+    firsts = [index[members[0].labels] for members in classes.values()]
+    leq = tuple(frozenset(c for c, j in enumerate(firsts) if row >> j & 1)
+                for row in classes)
+    return DegreePoset(space, k, tuple(map(tuple, classes.values())), leq)
 
 
 def degrees_to_json(poset: DegreePoset) -> dict:
@@ -128,23 +113,13 @@ def degrees_to_json(poset: DegreePoset) -> dict:
 
 def degrees_to_dot(poset: DegreePoset) -> str:
     """Hasse diagram of the degree order."""
-    n = len(poset.classes)
-    strict = {
-        (i, j)
-        for i in range(n)
-        for j in poset.leq[i]
-        if i != j and i not in poset.leq[j]
-    }
-    hasse = [
-        (i, j)
-        for i, j in strict
-        if not any((i, c) in strict and (c, j) in strict for c in range(n))
-    ]
+    above = [sum(1 << j for j in up if i not in poset.leq[j])
+             for i, up in enumerate(poset.leq)]
     lines = ["digraph degrees {", "  rankdir=BT;"]
     for i, members in enumerate(poset.classes):
         label = "".join(map(str, members[0].labels))
         lines.append(f'  d{i} [label="{label} (x{len(members)})"];')
-    for i, j in hasse:
+    for i, j in hasse_edges(above):
         lines.append(f"  d{i} -> d{j};")
     lines.append("}")
     return "\n".join(lines)

@@ -31,8 +31,8 @@ from .forest import (
 from .errors import SpaceError
 from .nested import nesting_level
 
-SOFT_POINT_LIMIT = 5
-SOFT_COLOR_LIMIT = 4
+POINT_LIMIT = 5
+COLOR_LIMIT = 4
 MAX_BASE_SETS = 1 << 12
 
 
@@ -125,15 +125,12 @@ def diamond_space() -> FiniteSpace:
     return FiniteSpace.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
 
 
-def check_size_guard(n_points: int, k: int, override: bool = False) -> None:
-    if override:
-        return
-    if n_points > SOFT_POINT_LIMIT or k > SOFT_COLOR_LIMIT:
+def check_size_guard(n_points: int, k: int) -> None:
+    """Refuse a job that enumerates k ** n_points partitions past the limits."""
+    if n_points > POINT_LIMIT or k > COLOR_LIMIT:
         raise SpaceError(
-            f"{n_points} points / {k} colors exceeds the soft limit "
-            f"({SOFT_POINT_LIMIT} points, {SOFT_COLOR_LIMIT} colors); "
-            "pass override to proceed"
-        )
+            f"{n_points} points / {k} colors exceeds the limit "
+            f"({POINT_LIMIT} points, {COLOR_LIMIT} colors)")
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +658,7 @@ def reduce_family(fam: PFamily, base: Base, space: FiniteSpace) -> PFamily:
 # hierarchy report
 
 
-def hierarchy_report(space: FiniteSpace, bases, forests, k: int,
-                     override_size_guard: bool = False) -> dict:
+def hierarchy_report(space: FiniteSpace, bases, forests, k: int) -> dict:
     """Membership sets, their inclusion order, and the constituents.
 
     bases is a single base (flat forests) or a sequence of bases (nested).
@@ -672,7 +668,7 @@ def hierarchy_report(space: FiniteSpace, bases, forests, k: int,
     """
     from .nested import print_term
 
-    check_size_guard(space.n, k, override_size_guard)
+    check_size_guard(space.n, k)
     levels = (bases,) if isinstance(bases, frozenset) else bases
     reps = list(dict.fromkeys(normalize(as_forest(f)) for f in forests))
     idx = range(len(reps))
@@ -734,17 +730,24 @@ def hierarchy_report(space: FiniteSpace, bases, forests, k: int,
 def report_to_dot(report: dict) -> str:
     """Hasse diagram of the level inclusions."""
     terms = report["forests"]
-    edges = {(a, b) for a, b in report["inclusions"]}
-    hasse = [
-        (a, b)
-        for a, b in edges
-        if not any((a, c) in edges and (c, b) in edges
-                   for c in terms if c not in (a, b))
-    ]
+    index = {t: i for i, t in enumerate(terms)}
+    above = [0] * len(terms)
+    for a, b in report["inclusions"]:
+        above[index[a]] |= 1 << index[b]
     lines = ["digraph levels {", "  rankdir=BT;"]
     for t in terms:
         lines.append(f'  "{t}";')
-    for a, b in hasse:
-        lines.append(f'  "{a}" -> "{b}";')
+    for i, j in hasse_edges(above):
+        lines.append(f'  "{terms[i]}" -> "{terms[j]}";')
     lines.append("}")
     return "\n".join(lines)
+
+
+def hasse_edges(above: list) -> list:
+    """The covers of a relation on range(len(above)), in ascending order.
+
+    above[i] is the bitmask of the j != i related above i; (i, j) covers
+    when no third point c has i below c and c below j.
+    """
+    return [(i, j) for i, up in enumerate(above) for j in _points_of(up)
+            if not any(above[c] >> j & 1 for c in _points_of(up & ~(1 << j)))]

@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -326,6 +329,65 @@ def test_report(capsys):
                        "--base", "upsets", "--forest", "0*1",
                        "--emit", "dot")
     assert code == 0 and out.startswith("digraph")
+
+
+@pytest.mark.parametrize("verb", [["degrees"], ["report", "--forest", "0"]],
+                         ids=["degrees", "report"])
+def test_there_is_no_size_override(capsys, verb):
+    argv = [*verb, "--space", "chain:8", "--k", "3", "--override-size-guard"]
+    start = time.perf_counter()
+    code, out, err = _exit(lambda: main(argv), capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("syntax error:") and err.count("\n") == 1
+
+
+def test_degree_limits_are_hard(capsys):
+    code, out, err = run(capsys, "degrees", "--space", "chain:2", "--k", "5")
+    assert (code, out) == (1, "")
+    assert err == ("domain error: 2 points / 5 colors exceeds the limit "
+                   "(5 points, 4 colors)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--forest", "0*1", "--emit", "dot"],
+    ["degrees", "--space", "chain:2", "--emit", "term"],
+    ["report", "--space", "chain:2", "--forest", "0*1", "--emit=term"],
+])
+def test_unwritable_emit_modes_are_syntax_errors(capsys, argv):
+    code, out, err = _exit(lambda: main(argv), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("syntax error:") and err.count("\n") == 1
+    assert "invalid choice" in err
+
+
+def _cli(*argv, **env):
+    src = os.path.dirname(os.path.dirname(hforest.acceptance.__file__))
+    env = {**os.environ, "PYTHONPATH": src, **env}
+    return subprocess.Popen([sys.executable, "-m", "hforest.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+
+
+def test_report_dot_is_the_same_under_any_hash_seed():
+    argv = ["report", "--space", "chain:2", "--forest", "0", "--forest", "1",
+            "--forest", "0*1", "--forest", "1*0", "--forest", "0|1",
+            "--emit", "dot"]
+    outputs = set()
+    for seed in ("1", "2"):
+        out, err = _cli(*argv, PYTHONHASHSEED=seed).communicate(timeout=60)
+        assert err == b"" and out.count(b"->") >= 2
+        outputs.add(out)
+    assert len(outputs) == 1
+
+
+def test_a_reader_that_closes_early_gets_no_traceback():
+    call = _cli("degrees", "--space", "chain:5", "--k", "4")
+    assert len(call.stdout.read(100)) == 100
+    call.stdout.close()
+    err = call.stderr.read()
+    assert call.wait(timeout=60) == 1
+    assert b"Traceback" not in err and b"Exception" not in err
 
 
 def test_report_of_a_long_chain_is_fast(capsys):

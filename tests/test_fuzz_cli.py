@@ -213,15 +213,13 @@ def test_fh_check(space, levels, partition, forest, k, split):
 
 
 @FUZZ
-@example(space="chain:2", k=-1, emit=None, guard=False, split=True)
+@example(space="chain:2", k=-1, emit=None, split=True)
 @given(space=spaces, k=st.none() | st.integers(-2, 3), emit=emits,
-       guard=st.booleans(), split=st.booleans())
-def test_degrees(space, k, emit, guard, split):
+       split=st.booleans())
+def test_degrees(space, k, emit, split):
     argv = ["degrees", *option("space", space, split)]
     if k is not None:
         argv += option("k", k, split)
-    if guard:
-        argv.append("--override-size-guard")
     call(with_emit(argv, emit, split))
 
 
@@ -240,8 +238,6 @@ def _chunk(draw, name, kw, fit):
     form = draw(st.sampled_from(forms))
     if form == "abbrev":
         name = name[:draw(st.integers(2, len(name) - 1))]
-    if kw.get("action") == "store_true" and (fit or draw(st.booleans())):
-        return [name]
     if "choices" in kw:
         values = st.sampled_from(kw["choices"])
         if not fit:
@@ -302,7 +298,7 @@ def _outcome(run, argv):
 @example(["degrees", "--space", "chain:2", "--k= 3"])
 @example(["degrees", "--space", "chain:2", "--k", "\u0663"])
 @example(["degrees", "--space", "chain:2", "--k", "-1"])
-@example(["degrees", "--space=chain:2", "--override-size-guard=1"])
+@example(["degrees", "--space=chain:2", "--override-size-guard=1"])  # no such flag
 @example(["report", "--forest", "0", "--space", "x", "--forest=1", "--k=2"])
 @example(["normalize", "--for", "0"])
 @example(["normalize", "--forest", "0", "--", "--forest", "1"])

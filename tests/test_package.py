@@ -88,12 +88,17 @@ PARSER = {"argparse", "gettext", "locale", "shutil"}
       "--partition", '{"labels": [0, 1]}', "--forest", "0*1"], {"hforest.space"}),
     (["reduce-check", "--space", "chain:2"], {"hforest.space"}),
     (["report", "--space", "chain:2", "--forest", "0*1"], {"hforest.space"}),
+    (["degrees", "--space", "chain:2", "--emit", "dot"],
+     {"hforest.space", "hforest.degrees"}),
+    (["report", "--space", "chain:2", "--forest", "0*1", "--emit", "dot"],
+     {"hforest.space"}),
 ])
 def test_each_verb_imports_only_what_it_runs(argv, modules):
     imported = _imports(*argv)
     assert imported & (LIBRARY | {"hforest"}) == FOREST_VERB | modules
     assert not imported & ({"dataclasses", "inspect", "typing"} | PARSER)
-    if argv[0] in ("normalize", "meet", "join", "canonical"):  # term output
+    # term or DOT output from term and named-space input
+    if argv[0] in ("normalize", "meet", "join", "canonical") or "dot" in argv:
         assert "json" not in imported
 
 

@@ -34,6 +34,7 @@ from hforest.space import (
     family_to_diff_sequence,
     fh_membership,
     has_reduction_property,
+    hasse_edges,
     hierarchy_report,
     is_reduced,
     powerset_base,
@@ -453,9 +454,39 @@ def test_hierarchy_report_example():
     assert dot.startswith("digraph")
 
 
+def test_hasse_edges_match_the_scan_over_all_triples():
+    """On preorders given as set inclusion, ties included, the covers are
+    the pairs with no third point between them, in ascending order."""
+    rng = random.Random(3)
+    for _ in range(300):
+        sets = [rng.randrange(8) for _ in range(rng.randint(0, 7))]
+        n = len(sets)
+        rel = {(i, j) for i in range(n) for j in range(n)
+               if i != j and sets[i] & ~sets[j] == 0}
+        covers = sorted((i, j) for i, j in rel
+                        if not any((i, c) in rel and (c, j) in rel
+                                   for c in range(n) if c not in (i, j)))
+        above = [sum(1 << j for j in range(n) if (i, j) in rel) for i in range(n)]
+        assert hasse_edges(above) == covers
+
+
+def test_report_dot_is_the_cover_diagram():
+    chain = chain_space(2)
+    report = hierarchy_report(chain, up_sets(chain),
+                              [parse_term(t) for t in ("0*1", "1*0", "0|1", "0")], 2)
+    terms = report["forests"]
+    inclusions = {tuple(pair) for pair in report["inclusions"]}
+    covers = [(a, b) for a in terms for b in terms if (a, b) in inclusions
+              and not any((a, c) in inclusions and (c, b) in inclusions
+                          for c in terms if c not in (a, b))]
+    edges = [line.strip() for line in report_to_dot(report).splitlines()
+             if "->" in line]
+    assert covers and edges == [f'"{a}" -> "{b}";' for a, b in covers]
+
+
 def test_size_guard():
     big = antichain_space(6)
-    with pytest.raises(SpaceError):
+    with pytest.raises(SpaceError, match=r"exceeds the limit \(5 points, 4 colors\)$"):
         hierarchy_report(big, up_sets(big), [singleton(0)], 2)
     assert len(up_sets(antichain_space(12))) == MAX_BASE_SETS
     assert len(powerset_base(chain_space(12))) == MAX_BASE_SETS
