@@ -26,6 +26,7 @@ from .forest import (
     Label,
     Tree,
     as_forest,
+    every_node,
     join,
     normalize,
     normalize_label,
@@ -105,14 +106,7 @@ def _t_plain(a: Ord) -> Forest:
 
 def canonical_size(f: Forest) -> int:
     """Nodes at all nesting levels: each tree node counts once, labels recurse."""
-    f = as_forest(f)
-    total = 0
-    for t in f:
-        total += 1
-        if not isinstance(t.label, int):
-            total += canonical_size(t.label)
-        total += canonical_size(t.children)
-    return total
+    return len(every_node(f))
 
 
 @lru_cache(maxsize=None)

@@ -23,9 +23,12 @@ class Tree:
 
     ``Tree(label, children)`` returns the live node with that label and
     those children when there is one, so structural equality is identity
-    and ``==`` and ``hash`` are the default identity ones.  A node also
-    stores its normal form and its sort key once they are first asked
-    for; both die with the node.
+    and ``==`` and ``hash`` are the default identity ones.  Every node is
+    made here, so here too are the label rules: a color is one with its
+    one-point tree (the paper's s), so a one-point color forest as a label
+    is that color; and the empty forest is no label.  A node also stores
+    its normal form and its sort key once they are first asked for; both
+    die with the node.
 
     Construction is single-threaded by contract: two threads building
     equal trees at the same moment could get two objects, and identity
@@ -35,10 +38,12 @@ class Tree:
     __slots__ = ("label", "children", "_norm", "_key", "__weakref__")
 
     def __new__(cls, label: "Label", children: "Forest" = ()):
-        if label.__class__ is not int and label.__class__ is not tuple:
-            if isinstance(label, list):
-                label = tuple(label)
-            if isinstance(label, bool) or not isinstance(label, (int, tuple)):
+        if label.__class__ is not int:
+            if isinstance(label, (tuple, list)):
+                if not label:
+                    raise ForestError("the empty forest is not a label")
+                label = as_label(tuple(label))
+            elif isinstance(label, bool) or not isinstance(label, int):
                 raise ForestError(f"bad label {label!r}")
         key = (label, tuple(children))
         ref = _REFS.get(key)
@@ -120,27 +125,28 @@ def join(*forests: Forest) -> Forest:
     return tuple(out)
 
 
+def every_node(f: Forest) -> list[Tree]:
+    """Every node of f and of the forests in its labels, at any depth;
+    a node that occurs twice is listed twice."""
+    out = list(as_forest(f))
+    for t in out:  # the loop visits what it appends
+        if not isinstance(t.label, int):
+            out.extend(t.label)
+        out.extend(t.children)
+    return out
+
+
 def node_count(f: Forest) -> int:
-    """Number of nodes, counting nodes inside nested labels."""
-    return sum(_label_size(t.label) + node_count(t.children) for t in as_forest(f))
-
-
-def _label_size(label: Label) -> int:
-    return 1 if isinstance(label, int) else node_count(label)
+    """Number of color-labeled nodes: the elements of the flattened forest."""
+    return len([t for t in every_node(f) if isinstance(t.label, int)])
 
 
 def max_color(f: Forest) -> int:
     """Largest color occurring anywhere (-1 for the empty forest)."""
     best = -1
-    todo = list(as_forest(f))  # trees still to visit, nested labels' too
-    while todo:
-        t = todo.pop()
-        if isinstance(t.label, int):
-            if t.label > best:
-                best = t.label
-        else:
-            todo.extend(t.label)
-        todo.extend(t.children)
+    for t in every_node(f):
+        if isinstance(t.label, int) and t.label > best:
+            best = t.label
     return best
 
 
@@ -311,8 +317,7 @@ def label_meet(a: Label, b: Label) -> Label | None:
     """Greatest lower bound of two labels, or None when only bottom is below both."""
     if isinstance(a, int) and isinstance(b, int):
         return a if a == b else None
-    m = meet(lift(a), lift(b))
-    return as_label(m) if m else None
+    return meet(lift(a), lift(b)) or None
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +345,6 @@ def tree_from_json(data) -> Tree:
     label = data["label"]
     if isinstance(label, list):
         label = forest_from_json(label)
-    elif not isinstance(label, int):
+    elif not isinstance(label, int) or label < 0:
         raise ForestError(f"bad label {label!r}")
     return Tree(label, forest_from_json(data.get("children", [])))

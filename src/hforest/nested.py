@@ -2,10 +2,12 @@
 equivalence with labeled layered preorders.
 
 A level-n forest carries labels that are themselves forests of level n-1;
-colors are level-0 atoms, identified with their singleton trees when a
-deeper level is needed.  ``flatten`` unrolls a nested forest into a flat
-structure carrying one preorder per level; ``unflatten`` inverts it up to
-h-equivalence.
+colors are level-0 atoms.  ``forest.Tree`` turns a label that is a
+one-point color forest into that color and refuses the empty forest as a
+label, so ``s(0)`` is ``0`` in terms and in JSON alike; the parser only
+adds positions to the errors of ``s(bot)`` and ``bot*F``.  ``flatten``
+unrolls a nested forest into a flat structure carrying one preorder per
+level; ``unflatten`` inverts it up to h-equivalence.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .forest import (
     Label,
     Tree,
     as_forest,
-    as_label,
     join,
     lift,
     normalize,
@@ -35,9 +36,15 @@ from .forest import (
 def nesting_level(f: Forest) -> int:
     """0 for the empty forest; otherwise 1 + the deepest label level."""
     level = 0
-    for t in as_forest(f):
-        label = 0 if isinstance(t.label, int) else nesting_level(t.label)
-        level = max(level, 1 + label, nesting_level(t.children))
+    layer = list(as_forest(f))
+    while layer:  # one level of nesting at a time, with no recursion
+        level += 1
+        deeper = []
+        for t in layer:  # the loop visits what it appends
+            if not isinstance(t.label, int):
+                deeper.extend(t.label)
+            layer.extend(t.children)
+        layer = deeper
     return level
 
 
@@ -45,8 +52,6 @@ def s_embed(q) -> Forest:
     """Singleton tree labeled by q (a color or a forest)."""
     if isinstance(q, Tree):
         q = (q,)
-    if isinstance(q, tuple) and not q:
-        raise ForestError("the empty forest is not a label")
     return singleton(normalize_label(q))
 
 
@@ -108,11 +113,9 @@ def flatten(f: Forest, depth: int) -> LabeledNPreorder:
             elif isinstance(t.label, int):
                 elems.append(ids)
                 labels.append(t.label)
-            else:  # a label too deep, or an empty forest as a label
-                nesting = nesting_level(f)
-                if nesting > depth:
-                    raise ForestError(f"nesting level {nesting} exceeds depth {depth}")
-                raise ForestError("nesting level exceeds the requested depth")
+            else:  # a label too deep
+                raise ForestError(
+                    f"nesting level {nesting_level(f)} exceeds depth {depth}")
             walk(t.children, level, outer, node)
 
     walk(f, 0, (), -1)
@@ -167,10 +170,7 @@ def _unflatten_sub(x: LabeledNPreorder, members: tuple, level: int) -> Forest:
                 raise ForestError(f"layer {level} class has mixed colors")
             label: Label = colors.pop()
         else:
-            sub = _unflatten_sub(x, cls, level + 1)
-            if sub == ():
-                raise ForestError(f"layer {level} produced an empty label")
-            label = as_label(sub)
+            label = _unflatten_sub(x, cls, level + 1)
         children = tuple(build(j) for j in range(n) if parent[j] == i)
         return Tree(label, children)
 
@@ -351,7 +351,7 @@ def _parse(text: str) -> tuple:
                 for left in reversed(stars):
                     if not left:
                         raise TermSyntaxError(_EMPTY_LABEL, pos)
-                    atom = (Tree(as_label(left), atom),)
+                    atom = (Tree(left, atom),)
                 stars = []
             items.extend(atom)
             atom = None
@@ -371,7 +371,7 @@ def _parse(text: str) -> tuple:
                 if is_s:
                     if not atom:
                         raise TermSyntaxError(_EMPTY_LABEL, pos)
-                    atom = (Tree(as_label(atom)),)
+                    atom = (Tree(atom),)
     return tuple(items), top
 
 

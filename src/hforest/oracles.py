@@ -146,11 +146,6 @@ class BoundOracle:
         common = self.below[i] & self.below[j]
         return bool(common & (1 << im)) and common & ~self.below[im] == 0
 
-    def is_lub(self, m: Forest, f: Forest, g: Forest) -> bool:
-        im, i, j = self.index[m], self.index[f], self.index[g]
-        common = self.above[i] & self.above[j]
-        return bool(common & (1 << im)) and common & ~self.above[im] == 0
-
 
 # ---------------------------------------------------------------------------
 # ordinal notations and the search that names nested 2-forests

@@ -347,11 +347,8 @@ def family_prefixes(forest: Forest, depth: int):
     def walk(f: Forest, level: int, acc: tuple):
         for path, t in paths(f):
             pfx = acc + (path,)
-            if level + 1 == depth:
-                color = t.label if isinstance(t.label, int) else None
-                if color is None:
-                    raise SpaceError("non-color label at the deepest level")
-                yield pfx, level, color
+            if level + 1 == depth:  # the nesting check leaves only colors here
+                yield pfx, level, t.label
             else:
                 yield pfx, level, None
                 yield from walk(lift(t.label), level + 1, pfx)

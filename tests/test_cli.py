@@ -10,6 +10,7 @@ import time
 import pytest
 
 import hforest.acceptance
+from hforest import nested, oracles
 from hforest.cli import (MAX_CANONICAL_NODES, MAX_SPACE_POINTS, VERBS,
                          _build_parser, load_space, main)
 from hforest.forest import forest_from_json, h_equiv
@@ -409,6 +410,41 @@ def test_report_refuses_too_many_antichains(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert err.startswith("domain error:") and err.count("\n") == 1
+
+
+def _verbose_json(f) -> list:
+    """f as forest JSON with every color label c, at every level, spelled
+    as the one-point forest [{"label": c}]."""
+    return [{"label": [{"label": t.label}] if isinstance(t.label, int)
+             else _verbose_json(t.label), "children": _verbose_json(t.children)}
+            for t in f]
+
+
+def test_a_json_forest_answers_as_its_term(capsys):
+    space = ["--space", "chain:2", "--partition", '{"labels": [0, 1]}']
+    levels = json.dumps([[[], [1], [0, 1]], [[], [0], [1], [0, 1]]])
+    verbs = (["parse", "--emit", "json"], ["flatten"], ["normalize"],
+             ["compare", "--rhs", "0*1|s(1)"], ["dh-check", *space],
+             ["fh-check", *space, "--omega-base", levels])
+    forests = oracles.nested_forests(4, 2, 2)
+    assert len(forests) > 300
+    for f in forests:
+        term = nested._render(f)  # f itself, where print_term normalizes
+        assert parse_term(term) == f
+        text = json.dumps(_verbose_json(f))
+        for verb, *rest in verbs:
+            flag = "--lhs" if verb == "compare" else "--forest"
+            answers = [run(capsys, verb, flag, form, *rest) for form in (term, text)]
+            assert answers[0] == answers[1], (verb, term)
+
+
+@pytest.mark.parametrize("label, err", [
+    ("[]", "the empty forest is not a label"), ("-1", "bad label -1")])
+def test_json_labels_are_colors_or_forests(capsys, label, err):
+    text = f'[{{"label": {label}, "children": [{{"label": 0}}]}}]'
+    for verb in ("parse", "normalize", "flatten", "classify"):
+        code, out, stderr = run(capsys, verb, "--forest", text)
+        assert (code, out, stderr) == (1, "", f"domain error: {err}\n")
 
 
 def test_file_input(tmp_path, capsys):

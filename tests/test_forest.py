@@ -163,7 +163,9 @@ def test_join_is_lub_on_corpus():
         for g in corpus:
             u = normalize(join(f, g))
             assert u in bounds.index
-            assert bounds.is_lub(u, f, g)
+            iu, i, j = bounds.index[u], bounds.index[f], bounds.index[g]
+            common = bounds.above[i] & bounds.above[j]
+            assert common >> iu & 1 and common & ~bounds.above[iu] == 0
 
 
 def test_meet_of_trees_decomposes():

@@ -42,7 +42,18 @@ def forest_terms(colors: str, nested: bool):
 terms = forest_terms("012", nested=True) | st.just("bot")
 flat_terms = forest_terms("01", nested=False)
 
-forest_args = st.one_of(terms, st.text(max_size=30),
+# JSON forests whose labels may be negative, empty or a verbose color
+# [{"label": c}]
+json_trees = st.recursive(
+    st.fixed_dictionaries({"label": st.integers(-1, 2) | st.just([])}),
+    lambda inner: st.fixed_dictionaries(
+        {"label": st.integers(-1, 2) | st.lists(inner, max_size=2)},
+        optional={"children": st.lists(inner, max_size=2)}),
+    max_leaves=6,
+)
+json_forests = st.lists(json_trees, max_size=3).map(json.dumps)
+
+forest_args = st.one_of(terms, json_forests, st.text(max_size=30),
                         st.text(max_size=10).map("-{}".format))
 
 json_values = st.recursive(

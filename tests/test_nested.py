@@ -15,16 +15,19 @@ from hforest.forest import (
     Tree,
     as_forest,
     as_label,
+    forest_from_json,
     h_equiv,
     h_leq,
     join,
     lift,
     max_color,
+    node_count,
     normalize,
     paths,
     singleton,
     wrap,
 )
+from hforest.canonical import canonical_size
 from hforest.nested import (
     MAX_TERM_DEPTH,
     MEMO_TERM_LENGTH,
@@ -47,6 +50,15 @@ def test_nesting_level():
     assert nesting_level(join(singleton(0), singleton(1))) == 1
     assert nesting_level(s_embed(parse_term("0*1"))) == 2
     assert nesting_level((wrap(parse_term("0*1"), singleton(2)),)) == 2
+
+
+def test_walks_answer_at_the_parse_depth_limit():
+    chain = parse_term("0*" * 999 + "1")  # 1,000 nodes, one level
+    labels = parse_term("s(" * 998 + "0*1" + ")" * 998)  # 999 levels
+    assert (canonical_size(chain), node_count(chain), nesting_level(chain),
+            max_color(chain)) == (1000, 1000, 1, 1)
+    assert (canonical_size(labels), node_count(labels), nesting_level(labels),
+            max_color(labels)) == (1000, 2, 999, 1)
 
 
 def test_s_embed():
@@ -196,8 +208,16 @@ def test_print_parse_round_trip():
 def test_verbose_singleton_labels_are_equivalent():
     terse = s_embed(0)
     verbose = (Tree((Tree(0),)),)
-    assert h_equiv(terse, verbose)
-    assert normalize(verbose) == normalize(terse)
+    assert verbose == terse
+    assert Tree([Tree(1)], terse) is Tree(1, terse)
+
+
+def test_the_empty_forest_is_no_label():
+    for label in (EMPTY, []):
+        with pytest.raises(ForestError, match="the empty forest is not a label"):
+            Tree(label, singleton(0))
+    with pytest.raises(ForestError, match="the empty forest is not a label"):
+        forest_from_json([{"label": 0, "children": [{"label": []}]}])
 
 
 def test_parse_depth_limit():
@@ -413,12 +433,6 @@ def test_flatten_matches_reference():
         flatten(singleton(0), 0)
     with pytest.raises(ForestError, match="nesting level 2 exceeds depth 1"):
         flatten(s_embed(parse_term("0*1")), 1)
-    # Tree takes the empty forest as a label: a color at the last level
-    # refuses it, a deeper level has no element under it
-    empty_label = (Tree(0, (Tree(EMPTY),)),)
-    for f, depth in ((singleton(0), 0), (s_embed(parse_term("0*1")), 2),
-                     (empty_label, 1), (empty_label, 2), ((Tree(empty_label),), 1)):
+    for f, depth in ((singleton(0), 0), (s_embed(parse_term("0*1")), 2)):
         assert _flatten_outcome(flatten, f, depth) == _flatten_outcome(
             reference_flatten, f, depth)
-    assert _flatten_outcome(flatten, empty_label, 1) == (
-        "nesting level exceeds the requested depth")

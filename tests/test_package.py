@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -104,3 +105,11 @@ def test_each_verb_imports_only_what_it_runs(argv, modules):
 
 def test_help_imports_argparse():
     assert PARSER <= _imports("normalize", "-h")
+
+
+def test_the_label_rules_have_one_home():
+    # Tree applies the label rules as it makes a node; oracles uses as_label
+    # to skip color labels while it enumerates, so a corpus has no duplicates
+    package = pathlib.Path(hforest.__file__).parent
+    users = sorted(p.name for p in package.glob("*.py") if "as_label" in p.read_text())
+    assert users == ["forest.py", "oracles.py"]
