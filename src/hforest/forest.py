@@ -26,7 +26,8 @@ class Tree:
     and ``==`` and ``hash`` are the default identity ones.  Every node is
     made here, so here too are the label rules: a color is one with its
     one-point tree (the paper's s), so a one-point color forest as a label
-    is that color; and the empty forest is no label.  A node also stores
+    is that color; the empty forest is no label; and a color is a
+    non-negative int, so every tree prints as a term.  A node also stores
     its normal form and its sort key once they are first asked for; both
     die with the node.
 
@@ -43,8 +44,10 @@ class Tree:
                 if not label:
                     raise ForestError("the empty forest is not a label")
                 label = as_label(tuple(label))
-            elif isinstance(label, bool) or not isinstance(label, int):
+            elif isinstance(label, bool) or not isinstance(label, int) or label < 0:
                 raise ForestError(f"bad label {label!r}")
+        elif label < 0:
+            raise ForestError(f"bad label {label!r}")
         key = (label, tuple(children))
         ref = _REFS.get(key)
         if ref is not None and (t := ref()) is not None:
@@ -345,6 +348,4 @@ def tree_from_json(data) -> Tree:
     label = data["label"]
     if isinstance(label, list):
         label = forest_from_json(label)
-    elif not isinstance(label, int) or label < 0:
-        raise ForestError(f"bad label {label!r}")
     return Tree(label, forest_from_json(data.get("children", [])))

@@ -7,14 +7,13 @@ one-point color forest into that color and refuses the empty forest as a
 label, so ``s(0)`` is ``0`` in terms and in JSON alike; the parser only
 adds positions to the errors of ``s(bot)`` and ``bot*F``.  ``flatten``
 unrolls a nested forest into a flat structure carrying one preorder per
-level; ``unflatten`` inverts it up to h-equivalence.
+level; ``unflatten`` inverts it exactly.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import product
 
 from .errors import TermSyntaxError
 from .forest import (
@@ -81,9 +80,6 @@ class LabeledNPreorder(namedtuple("LabeledNPreorder", "size orders labels")):
     def depth(self) -> int:
         return len(self.orders)
 
-    def leq(self, i: int, a: int, b: int) -> bool:
-        return bool(self.orders[i][a] >> b & 1)
-
     def pairs(self, i: int) -> list:
         """The relation of layer i as a sorted list of (a, b) pairs."""
         n = range(self.size)
@@ -102,23 +98,27 @@ def flatten(f: Forest, depth: int) -> LabeledNPreorder:
     # One walk, parents first, gives every node occurrence an id and every
     # element its node ids by level; a <=_i b iff b's is a's or above it.
     parent, elems, labels = [], [], []  # node -> parent; element -> ids, color
-
-    def walk(forest: Forest, level: int, outer: tuple, up: int):
-        for t in forest:
-            node = len(parent)
-            parent.append(up)
-            ids = outer + (node,)
-            if level + 1 < depth:
-                walk(lift(t.label), level + 1, ids, -1)
-            elif isinstance(t.label, int):
-                elems.append(ids)
-                labels.append(t.label)
-            else:  # a label too deep
-                raise ForestError(
-                    f"nesting level {nesting_level(f)} exceeds depth {depth}")
-            walk(t.children, level, outer, node)
-
-    walk(f, 0, (), -1)
+    # (trees left, level, ids of the enclosing label nodes, parent node);
+    # a node's label frame sits above its children's, so labels come first
+    stack = [(iter(f), 0, (), -1)]
+    while stack:
+        trees, level, outer, up = stack[-1]
+        t = next(trees, None)
+        if t is None:
+            stack.pop()
+            continue
+        node = len(parent)
+        parent.append(up)
+        ids = outer + (node,)
+        stack.append((iter(t.children), level, outer, node))
+        if level + 1 < depth:
+            stack.append((iter(lift(t.label)), level + 1, ids, -1))
+        elif isinstance(t.label, int):
+            elems.append(ids)
+            labels.append(t.label)
+        else:  # a label too deep
+            raise ForestError(
+                f"nesting level {nesting_level(f)} exceeds depth {depth}")
     # each node's members, then its ancestors' too; up[-1] == 0: no parent
     up = [0] * (len(parent) + 1)
     for a, ids in enumerate(elems):
@@ -131,39 +131,35 @@ def flatten(f: Forest, depth: int) -> LabeledNPreorder:
 
 
 def unflatten(x: LabeledNPreorder) -> Forest:
-    """Inverse of flatten up to h-equivalence."""
-    return _unflatten_sub(x, tuple(range(x.size)), 0)
+    """Inverse of flatten: unflatten(flatten(f, d)) == f."""
+    return _unflatten_sub(x, range(x.size), 0)
 
 
-def _unflatten_sub(x: LabeledNPreorder, members: tuple, level: int) -> Forest:
-    if not members:
-        return EMPTY
+def _unflatten_sub(x: LabeledNPreorder, members, level: int) -> Forest:
+    """The forest of layer `level` over `members`, ascending.
+
+    Equivalent members share one up-set row, so each class is one row; a
+    class's parent is the class whose row is the class's strict up-set.
+    """
     rows = x.orders[level]
-    # equivalence classes at this layer
-    classes: list[list[int]] = []
+    within = sum(1 << m for m in members)  # the members as a mask
+    classes: dict[int, list[int]] = {}  # row -> members, by first member
     for m in members:
-        row = rows[m]
-        for cls in classes:
-            r = cls[0]
-            if row >> r & 1 and rows[r] >> m & 1:
-                cls.append(m)
-                break
+        classes.setdefault(rows[m] & within, []).append(m)
+    kids: dict[int, list[int]] = {row: [] for row in classes}
+    roots = []
+    for row, cls in classes.items():
+        strict = row & ~sum(1 << m for m in cls)
+        if not strict:
+            roots.append(row)
+        elif strict in kids and strict != row:  # == row: not reflexive
+            kids[strict].append(row)
         else:
-            classes.append([m])
-    n = len(classes)
-    reps = [cls[0] for cls in classes]
-    below = [
-        [j for j in range(n) if j != i and rows[reps[j]] >> reps[i] & 1]
-        for i in range(n)
-    ]
-    # forest check: the strict up-set of every class must be a chain
-    for i in range(n):
-        above = [j for j in range(n) if i in below[j]]
-        for a, b in product(above, above):
-            if a != b and a not in below[b] and b not in below[a]:
-                raise ForestError(f"layer {level} is not a forest")
-    def build(i: int) -> Tree:
-        cls = tuple(sorted(classes[i]))
+            raise ForestError(f"layer {level} is not a forest")
+    # a child's row strictly holds its parent's, so children come first
+    trees: dict[int, Tree] = {}
+    for row in sorted(classes, key=int.bit_count, reverse=True):
+        cls = classes[row]
         if level + 1 == x.depth:
             colors = {x.labels[m] for m in cls}
             if len(colors) != 1:
@@ -171,18 +167,8 @@ def _unflatten_sub(x: LabeledNPreorder, members: tuple, level: int) -> Forest:
             label: Label = colors.pop()
         else:
             label = _unflatten_sub(x, cls, level + 1)
-        children = tuple(build(j) for j in range(n) if parent[j] == i)
-        return Tree(label, children)
-
-    # parent = least strict ancestor
-    parent = []
-    for i in range(n):
-        above = [j for j in range(n) if i in below[j]]
-        if not above:
-            parent.append(None)
-        else:
-            parent.append(min(above, key=lambda j: len(below[j])))
-    return tuple(build(i) for i in range(n) if parent[i] is None)
+        trees[row] = Tree(label, tuple(trees[c] for c in kids[row]))
+    return tuple(trees[row] for row in roots)
 
 
 @lru_cache(maxsize=65536)
@@ -210,22 +196,16 @@ def morphism_exists(x: LabeledNPreorder, y: LabeledNPreorder) -> bool:
     """
     if x.depth != y.depth:
         raise ForestError("depth mismatch")
-    if x.size == 0:
-        return True
+    by_color: dict[int, int] = {}  # color -> mask of the elements of y
+    for b, color in enumerate(y.labels):
+        by_color[color] = by_color.get(color, 0) | 1 << b
+    domains = [by_color.get(color, 0) for color in x.labels]
+    if 0 in domains:
+        return False
     xup = x.orders
     yup = y.orders
     ydn = _down_rows(y.orders, y.size)
     full = (1 << y.size) - 1
-    domains = []
-    for a in range(x.size):
-        dom = 0
-        for b in range(y.size):
-            if y.labels[b] == x.labels[a]:
-                dom |= 1 << b
-        if not dom:
-            return False
-        domains.append(dom)
-
     levels = range(x.depth)
     size = x.size
 

@@ -70,17 +70,11 @@ class FiniteSpace(Record):
             raise
         except (TypeError, ValueError):  # not pairs of ints
             raise SpaceError("the order must be a list of point pairs") from None
-        changed = True
-        while changed:
-            changed = False
+        for j in range(n):  # Warshall: every row that holds j takes row j
+            bit, row = 1 << j, up[j]
             for i in range(n):
-                reach = up[i]
-                for j in range(n):
-                    if reach & (1 << j):
-                        reach |= up[j]
-                if reach != up[i]:
-                    up[i] = reach
-                    changed = True
+                if up[i] & bit:
+                    up[i] |= row
         return FiniteSpace(n, tuple(up))
 
     @staticmethod

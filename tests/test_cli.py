@@ -533,6 +533,13 @@ def test_deep_input_is_a_domain_error(capsys):
         assert err == "domain error: input nested too deeply\n"
 
 
+def test_flatten_answers_at_the_parse_depth_limit(capsys):
+    code, out, err = run(capsys, "flatten", "--forest", "0*" * 999 + "1")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["size"] == 1000 and len(data["orders"][0]) == 1000 * 1001 // 2
+
+
 def test_deep_ordinal_is_a_domain_error(capsys):
     code, out, err = run(capsys, "canonical", "--alpha",
                          "w^(" * 2000 + "1" + ")" * 2000)

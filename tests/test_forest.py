@@ -254,6 +254,11 @@ def test_equal_trees_are_one_object():
         Tree(True)
 
 
+def test_a_color_is_not_negative():
+    with pytest.raises(ForestError, match="bad label -1"):
+        Tree(-1)
+
+
 def test_normalize_returns_normal_trees_themselves():
     for f in oracles.nested_forests(4, 2, 2):
         n = normalize(f)

@@ -102,7 +102,7 @@ def test_flatten_examples():
 
 def test_unflatten_examples():
     x = flatten(s_embed(join(singleton(0), singleton(1))), 2)
-    assert h_equiv(unflatten(x), s_embed(join(singleton(0), singleton(1))))
+    assert unflatten(x) == s_embed(join(singleton(0), singleton(1)))
     y = flatten(singleton(0), 1)
     assert unflatten(y) == singleton(0)
 
@@ -116,14 +116,24 @@ def test_unflatten_rejects_non_forest_layer():
     )
     with pytest.raises(ForestError, match="layer 0"):
         unflatten(x)
+    # 0 is below 1 but not below itself: no preorder
+    with pytest.raises(ForestError, match="layer 0 is not a forest"):
+        unflatten(LabeledNPreorder(2, ((0b10, 0b11),), (0, 0)))
 
 
 def test_round_trip_on_corpus():
     for level in (1, 2, 3):
         for f in oracles.nested_forests(4, 2, level, include_empty=False):
             d = max(nesting_level(f), 1)
-            g = unflatten(flatten(f, d))
-            assert g == f or h_equiv(g, f)
+            assert unflatten(flatten(f, d)) == f
+
+
+def test_round_trip_at_the_parse_depth_limit():
+    chain = parse_term("0*" * 999 + "1")  # 1,000 nodes, one level
+    layers = parse_term("s(" * 299 + "0*1" + ")" * 299)  # 300 levels
+    assert (nesting_level(chain), nesting_level(layers)) == (1, 300)
+    for f in (chain, layers):
+        assert unflatten(flatten(f, nesting_level(f))) == f
 
 
 def test_morphism_agrees_with_h_leq():

@@ -68,6 +68,8 @@ def test_from_pairs_closure_and_antisymmetry():
     assert sp.leq(0, 2)
     with pytest.raises(SpaceError):
         FiniteSpace.from_pairs(2, [(0, 1), (1, 0)])
+    covers = [(i, i + 1) for i in range(15)]
+    assert FiniteSpace.from_pairs(16, covers[::-1]) == chain_space(16)
 
 
 def _closure_by_rounds(seed, n_points):
