@@ -27,7 +27,9 @@ class Tree:
     made here, so here too are the label rules: a color is one with its
     one-point tree (the paper's s), so a one-point color forest as a label
     is that color; the empty forest is no label; and a color is a
-    non-negative int, so every tree prints as a term.  A node also stores
+    non-negative int, so every tree prints as a term.  The items of a
+    forest label and the children are trees; anything else is refused
+    with ForestError, checked only when a node is made.  A node also stores
     its normal form and its sort key once they are first asked for; both
     die with the node.
 
@@ -43,15 +45,24 @@ class Tree:
             if isinstance(label, (tuple, list)):
                 if not label:
                     raise ForestError("the empty forest is not a label")
-                label = as_label(tuple(label))
+                label = tuple(label)
+                if not all(isinstance(s, Tree) for s in label):
+                    raise ForestError(f"bad label {label!r}")
+                label = as_label(label)
             elif isinstance(label, bool) or not isinstance(label, int) or label < 0:
                 raise ForestError(f"bad label {label!r}")
         elif label < 0:
             raise ForestError(f"bad label {label!r}")
-        key = (label, tuple(children))
-        ref = _REFS.get(key)
+        try:
+            key = (label, tuple(children))
+            ref = _REFS.get(key)
+        except TypeError:  # children not iterable, or one unhashable
+            raise ForestError(f"bad children {children!r}") from None
         if ref is not None and (t := ref()) is not None:
             return t
+        for c in key[1]:
+            if not isinstance(c, Tree):
+                raise ForestError(f"bad children {children!r}")
         t = object.__new__(cls)
         set_slot = object.__setattr__
         set_slot(t, "label", label)

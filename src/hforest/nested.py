@@ -7,7 +7,10 @@ one-point color forest into that color and refuses the empty forest as a
 label, so ``s(0)`` is ``0`` in terms and in JSON alike; the parser only
 adds positions to the errors of ``s(bot)`` and ``bot*F``.  ``flatten``
 unrolls a nested forest into a flat structure carrying one preorder per
-level; ``unflatten`` inverts it exactly.
+level; ``unflatten`` inverts it exactly.  ``morphism_exists`` decides the
+h-preorder on that side by its own search, with no recursion and nothing
+from the h-preorder code, so it serves as the independent authority.
+``parse_term``, ``flatten`` and ``morphism_exists`` keep bounded memos.
 """
 
 from __future__ import annotations
@@ -30,6 +33,17 @@ from .forest import (
     paths,
     singleton,
 )
+
+# The memos.  A forest is a tuple, which cannot be weakly referenced, so
+# their bounds are what keep them small.  parse_term keeps the forests of its
+# last MEMO_TERMS distinct texts of at most MEMO_TERM_LENGTH characters, so a
+# repeated short text is parsed once.  flatten keeps the preorders of its
+# last MEMO_TERMS distinct (forest, depth) pairs whose preorder has at most
+# MEMO_FLAT_ELEMENTS elements, and morphism_exists the search tables of as
+# many preorders of at most that size.
+MEMO_TERMS = 1024
+MEMO_TERM_LENGTH = 256
+MEMO_FLAT_ELEMENTS = 64
 
 
 def nesting_level(f: Forest) -> int:
@@ -90,9 +104,27 @@ def flatten(f: Forest, depth: int) -> LabeledNPreorder:
     """Unroll a nested forest into its layered-preorder presentation.
 
     Shallow labels are padded through their singleton identification, so
-    any forest of nesting level <= depth is accepted.
+    any forest of nesting level <= depth is accepted.  Equal (forest,
+    depth) pairs whose preorder has at most MEMO_FLAT_ELEMENTS elements
+    return one shared preorder; errors are raised afresh.
     """
-    f = as_forest(f)
+    key = (as_forest(f), depth)
+    x = _FLATS.get(key)
+    if x is None:
+        x = _flatten(*key)
+        if x.size <= MEMO_FLAT_ELEMENTS:
+            if len(_FLATS) >= MEMO_TERMS:
+                del _FLATS[next(iter(_FLATS))]  # the oldest entry
+            _FLATS[key] = x
+    return x
+
+
+# (forest, depth) -> its preorder, oldest first: flatten's memo
+_FLATS: dict = {}
+
+
+def _flatten(f: Forest, depth: int) -> LabeledNPreorder:
+    """flatten's walk."""
     if depth < 1:
         raise ForestError("depth must be positive")
     # One walk, parents first, gives every node occurrence an id and every
@@ -171,28 +203,14 @@ def _unflatten_sub(x: LabeledNPreorder, members, level: int) -> Forest:
     return tuple(trees[row] for row in roots)
 
 
-@lru_cache(maxsize=65536)
-def _down_rows(orders: tuple, size: int) -> tuple:
-    """Transpose of the up-set rows: bit a of result[i][b] means a <=_i b."""
-    out = []
-    for rows in orders:
-        dn = [0] * size
-        for a in range(size):
-            row = rows[a]
-            while row:
-                b = (row & -row).bit_length() - 1
-                row &= row - 1
-                dn[b] |= 1 << a
-        out.append(tuple(dn))
-    return tuple(out)
-
-
 def morphism_exists(x: LabeledNPreorder, y: LabeledNPreorder) -> bool:
     """Backtracking search for a label-preserving map monotone at every layer.
 
-    Domains are bitmasks over y; assigning an element narrows the domains
-    of the remaining ones (forward checking), so dead branches are cut as
-    soon as any domain empties.
+    Domains are bitmasks over y.  The elements of x are assigned in order,
+    on an explicit stack of (element, untried images, domains) frames.
+    Assigning a to b narrows the domain of each later element that a
+    constrains by the rows of y at b that a's constraint list names
+    (forward checking), so a dead branch is cut as soon as a domain empties.
     """
     if x.depth != y.depth:
         raise ForestError("depth mismatch")
@@ -202,38 +220,73 @@ def morphism_exists(x: LabeledNPreorder, y: LabeledNPreorder) -> bool:
     domains = [by_color.get(color, 0) for color in x.labels]
     if 0 in domains:
         return False
-    xup = x.orders
-    yup = y.orders
-    ydn = _down_rows(y.orders, y.size)
-    full = (1 << y.size) - 1
-    levels = range(x.depth)
-    size = x.size
-
-    def search(a: int, doms: list) -> bool:
-        if a == size:
-            return True
-        dom = doms[a]
-        while dom:
-            b = (dom & -dom).bit_length() - 1
-            dom &= dom - 1
-            nxt = doms[:]
-            ok = True
-            for c in range(a + 1, size):
-                allowed = full
-                for level in levels:
-                    if xup[level][a] >> c & 1:
-                        allowed &= yup[level][b]
-                    if xup[level][c] >> a & 1:
-                        allowed &= ydn[level][b]
-                nxt[c] &= allowed
-                if not nxt[c]:
-                    ok = False
-                    break
-            if ok and search(a + 1, nxt):
+    if not domains:
+        return True
+    constraints = _table(x)[1]
+    columns = _table(y)[0]
+    last = x.size - 1
+    stack = [(0, domains[0], domains)]
+    while stack:
+        a, dom, doms = stack.pop()
+        low = dom & -dom
+        if dom != low:
+            stack.append((a, dom ^ low, doms))
+        column = columns[low.bit_length() - 1]
+        nxt = doms[:]
+        for c, ids in constraints[a]:
+            allowed = nxt[c]
+            for i in ids:
+                allowed &= column[i]
+            if not allowed:
+                break
+            nxt[c] = allowed
+        else:
+            if a == last:
                 return True
-        return False
+            stack.append((a + 1, nxt[a + 1], nxt))
+    return False
 
-    return search(0, domains)
+
+def _table(x: LabeledNPreorder) -> tuple:
+    """x's search table, kept when x has at most MEMO_FLAT_ELEMENTS elements."""
+    table = _tables if x.size <= MEMO_FLAT_ELEMENTS else _tables.__wrapped__
+    return table(x.orders, x.size)
+
+
+@lru_cache(maxsize=MEMO_TERMS)
+def _tables(orders: tuple, size: int) -> tuple:
+    """(columns, constraint lists) of a layered preorder with these up-set rows.
+
+    Its rows are the up rows of every layer, then the down rows: bit c of
+    rows[i][a] means a <=_i c, and of rows[depth + i][a] means c <=_i a;
+    columns[b][i] is rows[i][b].  constraints[a] lists in ascending order
+    each later element c that a constrains, with the indexes i of the rows
+    of a that hold c.  When a maps to b, c's image lies in rows[i][b] of
+    the target for each of them.
+    """
+    down = [[0] * size for _ in orders]
+    for dn, up in zip(down, orders):
+        for a, row in enumerate(up):
+            while row:
+                low = row & -row
+                row ^= low
+                dn[low.bit_length() - 1] |= 1 << a
+    rows = orders + tuple(map(tuple, down))
+    shared: dict = {}  # one tuple per distinct run of row indexes
+    constraints = []
+    for a in range(size):
+        holding: dict[int, tuple] = {}  # c -> the indexes of the rows holding c
+        for i, rel in enumerate(rows):
+            row = rel[a] >> a + 1
+            while row:
+                low = row & -row
+                row ^= low
+                c = a + low.bit_length()
+                holding[c] = holding.get(c, ()) + (i,)
+        constraints.append(tuple((c, shared.setdefault(ids, ids))
+                                 for c, ids in sorted(holding.items())))
+    columns = tuple(tuple(rel[b] for rel in rows) for b in range(size))
+    return columns, tuple(constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +302,6 @@ def morphism_exists(x: LabeledNPreorder, y: LabeledNPreorder) -> bool:
 # parse_term refuses a term with more pending '*' operands plus open '(' /
 # 's(' than this, with ForestError, instead of building a tree that deep.
 MAX_TERM_DEPTH = 1000
-# parse_term keeps the forests of its last MEMO_TERMS distinct texts of at
-# most MEMO_TERM_LENGTH characters, so a repeated short text is parsed once.
-# A forest is a tuple, which cannot be weakly referenced, so these two bounds
-# are what keep the memo small: MEMO_TERMS forests of MEMO_TERM_LENGTH nodes.
-MEMO_TERMS = 1024
-MEMO_TERM_LENGTH = 256
 
 _EMPTY_LABEL = "the empty forest is not a label"
 

@@ -259,6 +259,19 @@ def test_a_color_is_not_negative():
         Tree(-1)
 
 
+def test_labels_and_children_hold_only_trees():
+    for label in ((1,), [Tree(0), None]):
+        with pytest.raises(ForestError, match="bad label"):
+            Tree(label)
+    for children in ((None,), (1,), [[1]], [Tree(0), "x"], 5):
+        with pytest.raises(ForestError, match="bad children"):
+            Tree(0, children)
+    # a refused child leaves nothing behind to reach normalize
+    with pytest.raises(ForestError, match="bad children"):
+        normalize((Tree(0, (1,)),))
+    assert Tree(0, [Tree(1)]) is Tree(0, (Tree(1),))
+
+
 def test_normalize_returns_normal_trees_themselves():
     for f in oracles.nested_forests(4, 2, 2):
         n = normalize(f)

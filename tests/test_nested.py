@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from hforest import nested, oracles
+from hforest.degrees import wadge_leq
 from hforest.forest import (
     EMPTY,
     Forest,
@@ -28,8 +29,10 @@ from hforest.forest import (
     wrap,
 )
 from hforest.canonical import canonical_size
+from hforest.space import all_partitions, antichain_space, chain_space, diamond_space
 from hforest.nested import (
     MAX_TERM_DEPTH,
+    MEMO_FLAT_ELEMENTS,
     MEMO_TERM_LENGTH,
     MEMO_TERMS,
     LabeledNPreorder,
@@ -149,6 +152,57 @@ def test_morphism_depth_mismatch():
         morphism_exists(flatten(singleton(0), 1), flatten(singleton(0), 2))
 
 
+def test_morphism_matches_reference():
+    jobs = [(oracles.nested_forests(4, 2, level), level) for level in (1, 2, 3)]
+    jobs.append((oracles.normalized_corpus(oracles.flat_forests(6, 3)), 1))
+    answers = []
+    for corpus, depth in jobs:
+        flats = [flatten(f, depth) for f in oracles.sample_forests(corpus, 150, 16)]
+        for x in flats:
+            for y in flats:
+                want = reference_morphism_exists(x, y)
+                assert morphism_exists(x, y) == want, (x, y)
+                answers.append(want)
+    assert len(answers) == 143 ** 2 + 3 * 150 ** 2
+    assert 0.05 < sum(answers) / len(answers) < 0.95
+    # hand-built preorders: empty sides, a missing color, no layers at all
+    one = flatten(singleton(0), 1)
+    cases = [
+        (one, flatten(singleton(0), 2)),
+        (LabeledNPreorder(0, ((),), ()), one),
+        (one, LabeledNPreorder(0, ((),), ())),
+        (LabeledNPreorder(0, ((),), ()), LabeledNPreorder(0, ((),), ())),
+        (flatten(parse_term("0*(1|2)"), 1), flatten(parse_term("0*1|2"), 1)),
+        (flatten(parse_term("2"), 1), flatten(parse_term("0*1"), 1)),
+        (LabeledNPreorder(2, (), (0, 1)), LabeledNPreorder(1, (), (0,))),
+        (LabeledNPreorder(2, (), (1, 0)), LabeledNPreorder(2, (), (0, 1))),
+    ]
+    outcomes = [(_morphism_outcome(morphism_exists, x, y),
+                 _morphism_outcome(reference_morphism_exists, x, y)) for x, y in cases]
+    assert [got for got, _ in outcomes] == [want for _, want in outcomes] == [
+        "depth mismatch", True, False, True, False, False, False, True]
+    # depth-1 space preorders, through wadge_leq
+    spaces = [chain_space(3), antichain_space(3), diamond_space()]
+    checked = 0
+    for space in spaces:
+        for target in spaces:
+            for k in (2, 3):
+                for a in all_partitions(space.n, k):
+                    x = LabeledNPreorder(space.n, (space.up,), a.labels)
+                    for b in all_partitions(target.n, k):
+                        y = LabeledNPreorder(target.n, (target.up,), b.labels)
+                        assert wadge_leq(a, b, space, target) == reference_morphism_exists(x, y)
+                        checked += 1
+    assert checked == (8 + 8 + 16) ** 2 + (27 + 27 + 81) ** 2
+
+
+def test_the_search_answers_at_the_parse_depth_limit():
+    chain = parse_term("0*" * 999 + "1")  # 1,000 nodes, one level
+    x = flatten(chain, 1)
+    assert morphism_exists(x, x)
+    assert oracles.oracle_h_leq(chain, chain)
+
+
 def test_parse_examples():
     assert parse_term("⊥") == EMPTY
     assert parse_term("bot") == EMPTY
@@ -202,6 +256,41 @@ def test_parse_memo():
     assert nested._parse.cache_info().currsize == MEMO_TERMS == 1024
 
 
+def test_flatten_memo():
+    f = parse_term("0*(1|s(2*3))|s(0)")
+    assert flatten(f, 2) is flatten(list(f), 2) is flatten(parse_term("0*(1|s(2*3))|s(0)"), 2)
+    assert flatten(f, 2) is not flatten(f, 3)
+    # errors are raised afresh and never kept
+    deep = s_embed(parse_term("0*1"))
+    for depth, message in ((1, "nesting level 2 exceeds depth 1"),
+                           (0, "depth must be positive")):
+        before = dict(nested._FLATS)
+        for _ in range(2):
+            with pytest.raises(ForestError, match=message):
+                flatten(deep, depth)
+        assert nested._FLATS == before
+    # a preorder of more than MEMO_FLAT_ELEMENTS elements is built afresh and
+    # not kept, nor is its search table
+    big = parse_term("0*" * 147 + "987654")  # too long for the parse memo
+    before = dict(nested._FLATS)
+    tables = nested._tables.cache_info()
+    x = flatten(big, 1)
+    assert x.size == 148 > MEMO_FLAT_ELEMENTS
+    assert flatten(big, 1) is not x and flatten(big, 1) == x
+    assert morphism_exists(x, x)
+    assert nested._FLATS == before
+    assert nested._tables.cache_info() == tables
+    ref = weakref.ref(big[0])
+    del big, x
+    gc.collect()
+    assert ref() is None
+    # the memo is bounded
+    for i in range(2000):
+        flatten(parse_term(f"{i}*{i + 1}"), 1)
+    assert len(nested._FLATS) == MEMO_TERMS == 1024
+    assert MEMO_FLAT_ELEMENTS == 64
+
+
 def test_parse_errors():
     for bad in ("", "0*", "(0", "0)", "s(", "*1", "0 1"):
         with pytest.raises(TermSyntaxError):
@@ -249,8 +338,9 @@ def test_parse_depth_limit():
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations: the recursive-descent parser and the path-prefix
-# flatten that nested.py replaced, kept to check the new ones against.
+# Reference implementations: the recursive-descent parser, the path-prefix
+# flatten and the recursive morphism search that nested.py replaced, kept to
+# check the new ones against.
 
 
 def reference_parse_term(text: str) -> Forest:
@@ -369,6 +459,72 @@ def reference_flatten(f: Forest, depth: int) -> LabeledNPreorder:
             rows.append(mask)
         orders.append(tuple(rows))
     return LabeledNPreorder(len(elems), tuple(orders), labels)
+
+
+def reference_morphism_exists(x: LabeledNPreorder, y: LabeledNPreorder) -> bool:
+    """The recursive search that nested.py replaced, with its table uncached."""
+    if x.depth != y.depth:
+        raise ForestError("depth mismatch")
+    by_color: dict[int, int] = {}  # color -> mask of the elements of y
+    for b, color in enumerate(y.labels):
+        by_color[color] = by_color.get(color, 0) | 1 << b
+    domains = [by_color.get(color, 0) for color in x.labels]
+    if 0 in domains:
+        return False
+    xup = x.orders
+    yup = y.orders
+    ydn = _down_rows(y.orders, y.size)
+    full = (1 << y.size) - 1
+    levels = range(x.depth)
+    size = x.size
+
+    def search(a: int, doms: list) -> bool:
+        if a == size:
+            return True
+        dom = doms[a]
+        while dom:
+            b = (dom & -dom).bit_length() - 1
+            dom &= dom - 1
+            nxt = doms[:]
+            ok = True
+            for c in range(a + 1, size):
+                allowed = full
+                for level in levels:
+                    if xup[level][a] >> c & 1:
+                        allowed &= yup[level][b]
+                    if xup[level][c] >> a & 1:
+                        allowed &= ydn[level][b]
+                nxt[c] &= allowed
+                if not nxt[c]:
+                    ok = False
+                    break
+            if ok and search(a + 1, nxt):
+                return True
+        return False
+
+    return search(0, domains)
+
+
+def _down_rows(orders: tuple, size: int) -> tuple:
+    """Transpose of the up-set rows: bit a of result[i][b] means a <=_i b."""
+    out = []
+    for rows in orders:
+        dn = [0] * size
+        for a in range(size):
+            row = rows[a]
+            while row:
+                b = (row & -row).bit_length() - 1
+                row &= row - 1
+                dn[b] |= 1 << a
+        out.append(tuple(dn))
+    return tuple(out)
+
+
+def _morphism_outcome(search, x, y):
+    try:
+        return search(x, y)
+    except ForestError as exc:
+        return str(exc)
 
 
 def _flatten_outcome(flat, f, depth):

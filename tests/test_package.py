@@ -113,3 +113,26 @@ def test_the_label_rules_have_one_home():
     package = pathlib.Path(hforest.__file__).parent
     users = sorted(p.name for p in package.glob("*.py") if "as_label" in p.read_text())
     assert users == ["forest.py", "oracles.py"]
+
+
+def _names(code):
+    """The global and attribute names a code object and its nested ones use."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names(const)
+    return names
+
+
+def test_the_authority_stays_off_the_fast_path():
+    # oracle_h_leq checks h_leq through flatten and morphism_exists, so those
+    # may never run the h-preorder code they check
+    from hforest import nested, oracles
+
+    fast = {"h_leq", "tree_leq", "h_equiv", "label_leq", "meet", "meet_trees",
+            "normalize"}
+    for func in (oracles.oracle_h_leq, nested.flatten, nested._flatten,
+                 nested.morphism_exists, nested._table, nested._tables.__wrapped__):
+        assert not _names(func.__code__) & fast, func.__name__
+    assert "_flatten" in _names(nested.flatten.__code__)
+    assert "_table" in _names(nested.morphism_exists.__code__)
