@@ -120,10 +120,29 @@ def as_label(f: Forest) -> Label:
 
 def paths(f: Forest, prefix=()):
     """Every node as (path, tree), parents first; a path is child indices."""
-    for i, t in enumerate(as_forest(f)):
-        path = prefix + (i,)
+    stack = [(prefix + (i,), t) for i, t in enumerate(as_forest(f))][::-1]
+    while stack:
+        path, t = stack.pop()
         yield path, t
-        yield from paths(t.children, path)
+        stack += [(path + (i,), c) for i, c in enumerate(t.children)][::-1]
+
+
+def postorder(f: Forest) -> list[Tree]:
+    """Each distinct node of f once, after its children; labels are not
+    entered.  Equal subtrees are one node, so a shared one is walked once."""
+    done: dict = {}  # insertion-ordered: the walk's output
+    stack = list(as_forest(f))
+    while stack:
+        t = stack[-1]
+        if t not in done:
+            for c in t.children:
+                if c not in done:
+                    stack.append(c)
+            if stack[-1] is not t:
+                continue
+            done[t] = None
+        stack.pop()
+    return list(done)
 
 
 def wrap(label: Label, forest: Forest) -> Tree:

@@ -20,12 +20,12 @@ from itertools import combinations, product
 from ._record import Record, set_field
 from .forest import (
     Forest,
-    Tree,
     as_forest,
     h_leq,
     lift,
     normalize,
     paths,
+    postorder,
     rank,
 )
 from .errors import SpaceError
@@ -404,88 +404,57 @@ def family_defines(fam: PFamily, space: FiniteSpace):
 # the space, the label forest of every inner node has sets whose union is
 # that node's new part, and every deepest new part lies inside its color's
 # class.  A flat forest over a base B is the one-level case, over (B,).
-# So one sweep decides all three questions: per tree it maps each union
-# its sets can reach to a back-pointer (the node's set and the union of
-# its children's sets from the first derivation found).
+# At the deepest level one greedy pass decides it.  Children first, each
+# node takes the union of the base sets inside (below | class) & target,
+# where below is the union of its children's sets and class its color's:
+# its new part then lies in its class.  A base is closed under union, so
+# that union is a base set, and it holds below.  By induction on the
+# forest any other family's union at a node lies inside this greatest
+# family's, so the target is reachable exactly when the greatest family
+# covers it.  An inner node's label must cover its new part exactly, which
+# is not monotone in the node's set, so inner levels sweep every union
+# each tree can reach.
 
 
-def _fold(option_dicts) -> list:
-    """Back-pointer steps, folding in one {union: ...} dict at a time.
-
-    steps[0] is {0: None}; steps[i] maps each union the first i dicts
-    reach to its first derivation, the pair (union of the first i - 1,
-    union from the i-th).
-    """
-    steps = [{0: None}]
-    for opts in option_dicts:
-        reach: dict = {}
-        for u in steps[-1]:
-            for v in opts:
-                if u | v not in reach:
-                    reach[u | v] = (u, v)
-        steps.append(reach)
-    return steps
-
-
-def _sweep(a: KPartition, forest: Forest, levels, space: FiniteSpace):
-    """Back-pointers for the top level of the forest, one base per level.
-
-    Returns (steps, options, folds).  steps is the _fold of the trees'
-    options; options maps each tree to {union: (its root's set, its
-    children's union)}; folds maps each inner tree to the _fold of its
-    children's options.
-    """
-    depth = len(levels)
-    color_masks: dict = {}  # only the colors that occur: k may be huge
+def _classes(a: KPartition) -> dict:
+    """Color -> class mask, for the colors that occur: k may be huge."""
+    classes: dict = {}
     for i, c in enumerate(a.labels):
-        color_masks[c] = color_masks.get(c, 0) | 1 << i
-    memo: dict = {}
+        classes[c] = classes.get(c, 0) | 1 << i
+    return classes
 
-    def feasible(f: Forest, level: int, target: int) -> bool:
-        key = (f, level, target)
-        if key not in memo:
-            memo[key] = target in sweep(f, level, target)[0][-1]
-        return memo[key]
 
-    def sweep(f: Forest, level: int, target: int):
-        choices = [b for b in sorted(levels[level]) if not b & ~target]
-        deepest = level + 1 == depth
-        options: dict = {}
-        folds: dict = {}
+def _greatest(forest: Forest, target: int, classes: dict, base: Base) -> tuple:
+    """The greatest family inside target: each distinct tree's set, and
+    the union of the sets."""
+    sets: dict = {}
+    top = 0
+    for t in postorder(forest):
+        if not isinstance(t.label, int):
+            raise SpaceError("non-color label at the deepest level")
+        x = classes.get(t.label, 0)
+        for c in t.children:
+            x |= sets[c]
+        x &= target
+        if x not in base:  # take the union of the base sets inside x
+            inside = 0
+            for b in base:
+                if b | x == x:
+                    inside |= b
+            if inside not in base:
+                raise SpaceError("the base is not closed under union")
+            x = inside
+        sets[t] = x
+        top |= x
+    return sets, top
 
-        def tree_options(t: Tree) -> dict:
-            if t in options:
-                return options[t]
-            if deepest:
-                if not isinstance(t.label, int):
-                    raise SpaceError("non-color label at the deepest level")
-                allowed = color_masks.get(t.label, 0)
-            else:
-                label = lift(t.label)
-            unions = (0,)
-            if t.children:
-                folds[t] = _fold([tree_options(c) for c in t.children])
-                unions = folds[t][-1]
-            out: dict = {}
-            for below in unions:
-                if deepest:
-                    # the new part b & ~below must lie inside the class
-                    outside = ~(below | allowed)
-                    for b in choices:
-                        u = b | below
-                        if u not in out and not b & outside:
-                            out[u] = (b, below)
-                else:
-                    for b in choices:
-                        u = b | below
-                        if u not in out and feasible(label, level + 1, b & ~below):
-                            out[u] = (b, below)
-            options[t] = out
-            return out
 
-        return _fold([tree_options(t) for t in f]), options, folds
-
-    return sweep(forest, 0, space.full)
+def _joins(families) -> set:
+    """Every union of one set from each family."""
+    out = {0}
+    for fam in families:
+        out = {u | v for u in out for v in fam}
+    return out
 
 
 def fh_membership(a: KPartition, forest: Forest, omega_base,
@@ -496,37 +465,49 @@ def fh_membership(a: KPartition, forest: Forest, omega_base,
     if depth > len(omega_base):
         raise SpaceError(
             f"nesting level {depth} exceeds the {len(omega_base)}-level base")
-    steps, _, _ = _sweep(a, forest, omega_base[:depth], space)
-    return space.full in steps[-1]
+    classes = _classes(a)
+    base = omega_base[depth - 1]
+    if depth == 1:
+        return _greatest(forest, space.full, classes, base)[1] == space.full
+    memo: dict = {}
+
+    def feasible(f: Forest, level: int, target: int) -> bool:
+        """Can f's sets at this level have exactly target as their union?"""
+        if level + 1 == depth:
+            return _greatest(f, target, classes, base)[1] == target
+        key = (f, level, target)
+        if key not in memo:
+            within = [b for b in omega_base[level] if not b & ~target]
+            reach: dict = {}  # tree -> every union its subtree's sets can have
+            for t in postorder(f):
+                label = lift(t.label)
+                reach[t] = out = set()
+                for below in _joins(reach[c] for c in t.children):
+                    for b in within:
+                        u = b | below
+                        if u not in out and feasible(label, level + 1, b & ~below):
+                            out.add(u)
+            memo[key] = target in _joins(reach[t] for t in f)
+        return memo[key]
+
+    return feasible(forest, 0, space.full)
 
 
 def dh_membership(a: KPartition, forest: Forest, base: Base,
                   space: FiniteSpace) -> bool:
     """Is the partition definable by a family of base sets over the flat forest?"""
-    steps, _, _ = _sweep(a, as_forest(forest), (base,), space)
-    return space.full in steps[-1]
+    _, top = _greatest(as_forest(forest), space.full, _classes(a), base)
+    return top == space.full
 
 
 def dh_witness_family(a: KPartition, forest: Forest, base: Base,
                       space: FiniteSpace) -> PFamily | None:
-    """A family of base sets over the flat forest defining the partition, if any."""
+    """The greatest family over the flat forest, if it defines the partition."""
     forest = as_forest(forest)
-    steps, options, folds = _sweep(a, forest, (base,), space)
-    if space.full not in steps[-1]:
+    sets, top = _greatest(forest, space.full, _classes(a), base)
+    if top != space.full:
         return None
-    sets: dict = {}
-
-    def assign(f: Forest, steps: list, path: tuple, u: int):
-        for i in reversed(range(len(f))):
-            u, v = steps[i + 1][u]
-            t = f[i]
-            b, below = options[t][v]
-            sets[(path + (i,),)] = b
-            if t.children:
-                assign(t.children, folds[t], path + (i,), below)
-
-    assign(forest, steps, (), space.full)
-    return PFamily(forest, 1, sets)
+    return PFamily(forest, 1, {(path,): sets[t] for path, t in paths(forest)})
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +669,7 @@ def hierarchy_report(space: FiniteSpace, bases, forests, k: int) -> dict:
         outside = [
             j for j in idx if not any(below[i][j] for i in combo)
         ]
-        constituent = level.difference(*(member_sets[j] for j in outside)) \
-            if outside else level
+        constituent = level.difference(*(member_sets[j] for j in outside))
         constituents.append((combo, level, constituent))
 
     terms = [print_term(f) for f in reps]

@@ -116,6 +116,14 @@ def test_dh_check(capsys):
         "--partition", '{"labels": [1, 0]}', "--forest", "0*1")
     assert code == 0 and json.loads(out) == {"member": False}
 
+    # the witness is the greatest family: the root takes both points,
+    # though [0] alone would also do
+    code, out, _ = run(
+        capsys, "dh-check", "--space", "chain:2", "--base", "powerset",
+        "--partition", '{"labels": [1, 0]}', "--forest", "1*0")
+    assert code == 0 and json.loads(out) == {"member": True, "witness": [
+        {"prefix": [[0]], "set": [0, 1]}, {"prefix": [[0, 0]], "set": [1]}]}
+
     code, out, _ = run(
         capsys, "dh-check", "--space", "chain:40", "--base", "upsets",
         "--partition", json.dumps({"labels": [0] * 40}), "--forest", "0")

@@ -27,6 +27,8 @@ from hforest.forest import (
     meet_trees,
     node_count,
     normalize,
+    paths,
+    postorder,
     rank,
     singleton,
     sort_key,
@@ -75,6 +77,22 @@ def test_wrap_and_rank():
     assert rank(chain(0, 1, 0)) == 2
     with pytest.raises(ForestError):
         rank(EMPTY)
+
+
+def test_paths_and_postorder():
+    f = parse_term("0*(1|2*1)|1")
+    shared, two = f[1], f[0].children[1]
+    assert [(p, t.label) for p, t in paths(f)] == [
+        ((0,), 0), ((0, 0), 1), ((0, 1), 2), ((0, 1, 0), 1), ((1,), 1)]
+    # each distinct node once, after its children
+    assert postorder(f) == [shared, two, f[0]]
+    assert postorder(EMPTY) == [] and list(paths(EMPTY)) == []
+    # neither walk recurses: a chain far deeper than the recursion limit
+    deep = (Tree(0),)
+    for _ in range(5000):
+        deep = (Tree(1, deep),)
+    assert len(list(paths(deep))) == len(postorder(deep)) == 5001
+    assert postorder(deep)[-1] is deep[0]
 
 
 def test_validate_and_max_color():

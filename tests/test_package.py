@@ -136,3 +136,22 @@ def test_the_authority_stays_off_the_fast_path():
         assert not _names(func.__code__) & fast, func.__name__
     assert "_flatten" in _names(nested.flatten.__code__)
     assert "_table" in _names(nested.morphism_exists.__code__)
+
+
+def test_the_membership_checks_stay_off_the_greedy_pass():
+    # family_defines checks every witness and difference_kernel is A4's
+    # enumeration; the kept reference sweep checks the pass in test_space
+    import importlib.util
+
+    from hforest import space
+
+    path = pathlib.Path(__file__).with_name("test_space.py")
+    spec = importlib.util.spec_from_file_location("_reference_space", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    fast = {"_greatest", "dh_membership", "fh_membership", "dh_witness_family"}
+    for func in (space.family_defines, space.difference_kernel,
+                 reference.reference_sweep, reference.reference_fold,
+                 reference.reference_member):
+        assert not _names(func.__code__) & fast, func.__name__
+    assert "reference_sweep" in _names(reference.reference_member.__code__)

@@ -8,7 +8,7 @@ import pytest
 
 from hforest import oracles
 from hforest.canonical import BAR, PLAIN, t_flat
-from hforest.forest import Tree, join, singleton
+from hforest.forest import Forest, Tree, as_forest, join, lift, paths, singleton
 from hforest.nested import nesting_level, parse_term, s_embed
 from hforest.space import (
     MAX_BASE_SETS,
@@ -45,6 +45,98 @@ from hforest.space import (
     validate_base,
     validate_omega_base,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference: a back-pointer sweep over every union each tree can reach,
+# an independent check of the greedy pass.  tests/test_package.py checks
+# that it calls none of the functions it checks.
+
+
+def reference_fold(option_dicts) -> list:
+    """Back-pointer steps, folding in one {union: ...} dict at a time.
+
+    steps[0] is {0: None}; steps[i] maps each union the first i dicts
+    reach to its first derivation, the pair (union of the first i - 1,
+    union from the i-th).
+    """
+    steps = [{0: None}]
+    for opts in option_dicts:
+        reach: dict = {}
+        for u in steps[-1]:
+            for v in opts:
+                if u | v not in reach:
+                    reach[u | v] = (u, v)
+        steps.append(reach)
+    return steps
+
+
+def reference_sweep(a: KPartition, forest: Forest, levels, space: FiniteSpace):
+    """Back-pointers for the top level of the forest, one base per level.
+
+    Returns (steps, options, folds).  steps is the reference_fold of the
+    trees' options; options maps each tree to {union: (its root's set, its
+    children's union)}; folds maps each inner tree to the reference_fold
+    of its children's options.
+    """
+    depth = len(levels)
+    color_masks: dict = {}  # only the colors that occur: k may be huge
+    for i, c in enumerate(a.labels):
+        color_masks[c] = color_masks.get(c, 0) | 1 << i
+    memo: dict = {}
+
+    def feasible(f: Forest, level: int, target: int) -> bool:
+        key = (f, level, target)
+        if key not in memo:
+            memo[key] = target in sweep(f, level, target)[0][-1]
+        return memo[key]
+
+    def sweep(f: Forest, level: int, target: int):
+        choices = [b for b in sorted(levels[level]) if not b & ~target]
+        deepest = level + 1 == depth
+        options: dict = {}
+        folds: dict = {}
+
+        def tree_options(t: Tree) -> dict:
+            if t in options:
+                return options[t]
+            if deepest:
+                if not isinstance(t.label, int):
+                    raise SpaceError("non-color label at the deepest level")
+                allowed = color_masks.get(t.label, 0)
+            else:
+                label = lift(t.label)
+            unions = (0,)
+            if t.children:
+                folds[t] = reference_fold([tree_options(c) for c in t.children])
+                unions = folds[t][-1]
+            out: dict = {}
+            for below in unions:
+                if deepest:
+                    # the new part b & ~below must lie inside the class
+                    outside = ~(below | allowed)
+                    for b in choices:
+                        u = b | below
+                        if u not in out and not b & outside:
+                            out[u] = (b, below)
+                else:
+                    for b in choices:
+                        u = b | below
+                        if u not in out and feasible(label, level + 1, b & ~below):
+                            out[u] = (b, below)
+            options[t] = out
+            return out
+
+        return reference_fold([tree_options(t) for t in f]), options, folds
+
+    return sweep(forest, 0, space.full)
+
+
+def reference_member(a: KPartition, forest: Forest, levels, space: FiniteSpace) -> bool:
+    forest = as_forest(forest)
+    depth = max(1, nesting_level(forest))
+    steps, _, _ = reference_sweep(a, forest, tuple(levels[:depth]), space)
+    return space.full in steps[-1]
 
 
 def test_space_construction():
@@ -214,6 +306,116 @@ def test_dh_witness_matches_membership():
                 if fam is not None:
                     part, diag = family_defines(fam, sp)
                     assert diag is None and part.labels == a.labels
+
+
+def _random_space(rng, n):
+    return FiniteSpace.from_pairs(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3])
+
+
+def _random_closed_base(rng, sp):
+    return close_base([rng.randrange(sp.full + 1) for _ in range(rng.randrange(5))],
+                      sp.n)
+
+
+def _check_witness(a, f, base, sp):
+    """dh_witness_family agrees with membership, and its family defines a."""
+    fam = dh_witness_family(a, f, base, sp)
+    if fam is not None:
+        part, diag = family_defines(fam, sp)
+        assert diag is None and part.labels == a.labels, (a, f)
+    return fam is not None
+
+
+def test_membership_matches_reference():
+    """The greedy pass answers as the back-pointer sweep, on samples of every
+    poset of at most 3 points, of 4- and 5-point posets, and of nested forests."""
+    rng = random.Random(17)
+    checked = members = 0
+    forests = oracles.flat_forests(4, 3, include_empty=False)
+    for sp in oracles.all_posets_up_to(3):
+        for base in (up_sets(sp), powerset_base(sp), _random_closed_base(rng, sp)):
+            for f in forests:
+                for a in all_partitions(sp.n, 3):
+                    if rng.random() < 0.05:
+                        want = reference_member(a, f, (base,), sp)
+                        assert dh_membership(a, f, base, sp) == want, (sp, base, f, a)
+                        assert _check_witness(a, f, base, sp) == want
+                        checked += 1
+                        members += want
+    pools = {k: oracles.flat_forests(5, k, include_empty=False) for k in (2, 3, 4)}
+    for _ in range(2000):
+        k = rng.choice((2, 3, 4))
+        sp = _random_space(rng, rng.choice((4, 5)))
+        base = rng.choice((up_sets(sp), powerset_base(sp), _random_closed_base(rng, sp)))
+        f = rng.choice(pools[k])
+        a = KPartition(tuple(rng.randrange(k) for _ in range(sp.n)), k)
+        want = reference_member(a, f, (base,), sp)
+        assert dh_membership(a, f, base, sp) == want, (sp, base, f, a)
+        assert _check_witness(a, f, base, sp) == want
+        checked += 1
+        members += want
+    assert checked > 50000 and 0.05 < members / checked < 0.95
+    nested = oracles.nested_forests(4, 2, 2)
+    fh_checked = fh_members = 0
+    for sp in oracles.all_posets_up_to(3):
+        levels = (up_sets(sp), powerset_base(sp))
+        for f in nested:
+            for a in all_partitions(sp.n, 2):
+                if rng.random() < 0.1:
+                    want = reference_member(a, f, levels, sp)
+                    assert fh_membership(a, f, levels, sp) == want, (sp, f, a)
+                    fh_checked += 1
+                    fh_members += want
+    assert fh_checked > 10000 and 0.05 < fh_members / fh_checked < 0.95
+
+
+def test_witness_is_the_greatest_family():
+    """Each node's set is the union of the base sets inside its children's
+    union and its color's class."""
+    witnesses = 0
+    for sp in oracles.all_posets_up_to(3):
+        for base in (up_sets(sp), powerset_base(sp)):
+            for f in oracles.flat_forests(4, 2, include_empty=False):
+                for a in all_partitions(sp.n, 2):
+                    fam = dh_witness_family(a, f, base, sp)
+                    if fam is None:
+                        continue
+                    witnesses += 1
+                    for path, t in paths(f):
+                        below = 0
+                        for (q,), mask in fam.sets.items():
+                            if len(q) > len(path) and q[:len(path)] == path:
+                                below |= mask
+                        inside = 0
+                        for b in base:
+                            if not b & ~(below | a.mask(t.label)):
+                                inside |= b
+                        assert fam.sets[(path,)] == inside, (sp, f, a, path)
+    assert witnesses > 1000
+
+
+def test_a_base_not_closed_under_union_is_refused():
+    sp = antichain_space(3)
+    base = frozenset({0, 0b01, 0b10, 0b110})
+    with pytest.raises(SpaceError, match="not closed under union"):
+        dh_membership(KPartition((0, 0, 0), 1), singleton(0), base, sp)
+    with pytest.raises(SpaceError, match="not closed under union"):
+        dh_witness_family(KPartition((0, 0, 0), 1), singleton(0), base, sp)
+    with pytest.raises(SpaceError, match="not closed under union"):
+        fh_membership(KPartition((0, 0, 0), 1), singleton(0), (base,), sp)
+
+
+def test_membership_answers_on_the_parse_depth_limit():
+    chain = chain_space(2)
+    levels = (up_sets(chain), powerset_base(chain))
+    deep = parse_term("0*" * 999 + "1")
+    assert len(list(paths(deep))) == 1000
+    for labels, member in (((0, 1), True), ((1, 0), False)):
+        a = KPartition(labels, 2)
+        assert dh_membership(a, deep, levels[0], chain) is member
+        assert fh_membership(a, deep, levels, chain) is member
+        assert _check_witness(a, deep, levels[0], chain) is member
 
 
 def _definable(forest, levels, sp):
