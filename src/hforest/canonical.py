@@ -23,13 +23,13 @@ from ._record import Record, set_field
 from .forest import (
     Forest,
     ForestError,
-    Label,
     Tree,
     as_forest,
     every_node,
     join,
     normalize,
     normalize_label,
+    postorder,
     singleton,
     wrap,
 )
@@ -55,19 +55,13 @@ class CanonicalName(Record):
 
 def swap_colors(f: Forest) -> Forest:
     """Exchange colors 0 and 1 everywhere, including inside nested labels."""
-    return tuple(_swap_tree(t) for t in as_forest(f))
-
-
-def _swap_tree(t: Tree) -> Tree:
-    return Tree(_swap_label(t.label), swap_colors(t.children))
-
-
-def _swap_label(label: Label) -> Label:
-    if isinstance(label, int):
-        if label > 1:
-            raise ForestError(f"color {label} is not a 2-forest color")
-        return 1 - label
-    return swap_colors(label)
+    swapped: dict = {}
+    for t in postorder(f, True):
+        if isinstance(t.label, int) and t.label > 1:
+            raise ForestError(f"color {t.label} is not a 2-forest color")
+        label = 1 - t.label if isinstance(t.label, int) else tuple(swapped[s] for s in t.label)
+        swapped[t] = Tree(label, tuple(swapped[c] for c in t.children))
+    return tuple(swapped[t] for t in as_forest(f))
 
 
 def t_flat(n: int, polarity: str = PLAIN) -> Tree:
@@ -183,18 +177,18 @@ def _decode(t: Tree) -> tuple[Ord, str] | None:
     T_b | bar T_b is b + w^g.  Only the shape is read: the caller confirms
     the guess by comparing normal forms.
     """
-    if isinstance(t.label, int):
-        if t.label > 1:
+    guess: dict = {}  # a node that has no guess leaves t none, so stop there
+    for u in postorder((t,), True):
+        if isinstance(u.label, int) and u.label <= 1:
+            gamma, polarity = ZERO, (PLAIN, BAR)[u.label]
+        elif not isinstance(u.label, int) and len(u.label) == 1:
+            gamma, polarity = guess[u.label[0]]
+        else:
             return None
-        gamma, polarity = ZERO, (PLAIN, BAR)[t.label]
-    else:
-        head = _decode(t.label[0]) if len(t.label) == 1 else None
-        if head is None:
+        if len(u.children) > 2:
             return None
-        gamma, polarity = head
-    kids = [_decode(c) for c in t.children]
-    if None in kids or len(kids) > 2:
-        return None
-    if not kids:
-        return (ZERO if isinstance(t.label, int) else omega_pow(gamma)), polarity
-    return add(kids[0][0], omega_pow(gamma)), polarity
+        if u.children:
+            guess[u] = add(guess[u.children[0]][0], omega_pow(gamma)), polarity
+        else:
+            guess[u] = ZERO if isinstance(u.label, int) else omega_pow(gamma), polarity
+    return guess[t]

@@ -455,6 +455,10 @@ def main(argv=None) -> int:
         args = _build_parser(verbs).parse_args(argv)
     try:
         output = args.func(args)
+        if not isinstance(output, str):
+            import json
+
+            output = json.dumps(output)  # its encoder recurses per level
     except (TermSyntaxError, OrdinalSyntaxError, *_json_errors()) as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
@@ -468,10 +472,6 @@ def main(argv=None) -> int:
     except RecursionError:
         print("domain error: input nested too deeply", file=sys.stderr)
         return EXIT_DOMAIN
-    if not isinstance(output, str):
-        import json
-
-        output = json.dumps(output)
     try:
         print(output)
         sys.stdout.flush()

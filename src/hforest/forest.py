@@ -127,21 +127,24 @@ def paths(f: Forest, prefix=()):
         stack += [(path + (i,), c) for i, c in enumerate(t.children)][::-1]
 
 
-def postorder(f: Forest) -> list[Tree]:
-    """Each distinct node of f once, after its children; labels are not
-    entered.  Equal subtrees are one node, so a shared one is walked once."""
+def postorder(f: Forest, labels: bool = False) -> list[Tree]:
+    """Each distinct node of f once, after its children, and with labels
+    after its label's nodes too.  Equal subtrees are one node, so a shared
+    one is walked once."""
     done: dict = {}  # insertion-ordered: the walk's output
-    stack = list(as_forest(f))
+    stack = list(as_forest(f))  # an expanded node waits under None and its operands
     while stack:
-        t = stack[-1]
-        if t not in done:
-            for c in t.children:
-                if c not in done:
-                    stack.append(c)
-            if stack[-1] is not t:
-                continue
-            done[t] = None
-        stack.pop()
+        t = stack.pop()
+        if t is None:
+            done[stack.pop()] = None
+        elif t not in done:
+            below = t.children
+            if labels and t.label.__class__ is not int:
+                below = t.label + below
+            if below:
+                stack += (t, None, *below)
+            else:
+                done[t] = None
     return list(done)
 
 
@@ -195,7 +198,10 @@ def rank(f: Forest) -> int:
     f = as_forest(f)
     if not f:
         raise ForestError("rank of the empty forest is undefined")
-    return max(1 + rank(t.children) if t.children else 0 for t in f)
+    ranks: dict = {}
+    for t in postorder(f):
+        ranks[t] = max([1 + ranks[c] for c in t.children], default=0)
+    return max(ranks[t] for t in f)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +227,7 @@ def h_equiv(f: Forest, g: Forest) -> bool:
 @lru_cache(maxsize=None)
 def tree_leq(s: Tree, t: Tree) -> bool:
     """s <= t for trees: s embeds with its root at some node of t."""
-    if label_leq(s.label, t.label) and all(tree_leq(c, t) for c in s.children):
+    if s is t or label_leq(s.label, t.label) and all(tree_leq(c, t) for c in s.children):
         return True
     return any(tree_leq(s, c) for c in t.children)
 
@@ -283,35 +289,28 @@ _NORMAL = object()
 
 
 def _normalize_tree(t: Tree) -> Tree:
-    """The normal form of one tree, computed once per node."""
+    """The normal form of one tree, computed once per node: the first call
+    fills the slot of each node under t, labels and children first."""
     n = t._norm
-    if n is _NORMAL:
-        return t
-    if n is not None:
-        return n
-    label = normalize_label(t.label)
-    kids = list(normalize(t.children))
-    while True:
-        spliced: list[Tree] = []
-        changed = False
-        for c in kids:
-            if label_leq(c.label, label):
-                spliced.extend(c.children)
-                changed = True
+    if n is None:
+        for u in postorder((t,), True):
+            if u._norm is not None:
+                continue
+            label = normalize_label(u.label)
+            kids = normalize(u.children)
+            while any(label_leq(c.label, label) for c in kids):  # rule (a)
+                kids = [g for c in kids
+                        for g in (c.children if label_leq(c.label, label) else (c,))]
+            kids = _dedupe(kids)
+            if len(kids) == 1 and label_leq(label, kids[0].label):
+                n = kids[0]
             else:
-                spliced.append(c)
-        kids = spliced
-        if not changed:
-            break
-    kids = _dedupe(kids)
-    if len(kids) == 1 and label_leq(label, kids[0].label):
-        n = kids[0]
-    else:
-        n = Tree(label, kids)
-        object.__setattr__(n, "_norm", _NORMAL)
-    if n is not t:
-        object.__setattr__(t, "_norm", n)
-    return n
+                n = Tree(label, kids)
+                object.__setattr__(n, "_norm", _NORMAL)
+            if n is not u:
+                object.__setattr__(u, "_norm", n)
+        n = t._norm
+    return t if n is _NORMAL else n
 
 
 def is_join_irreducible(f: Forest) -> bool:
@@ -358,12 +357,12 @@ def label_meet(a: Label, b: Label) -> Label | None:
 
 
 def forest_to_json(f: Forest) -> list:
-    return [tree_to_json(t) for t in as_forest(f)]
-
-
-def tree_to_json(t: Tree) -> dict:
-    label = t.label if isinstance(t.label, int) else forest_to_json(t.label)
-    return {"label": label, "children": forest_to_json(t.children)}
+    """f as JSON; equal subtrees share one object."""
+    out: dict = {}
+    for t in postorder(f, True):
+        label = t.label if isinstance(t.label, int) else [out[s] for s in t.label]
+        out[t] = {"label": label, "children": [out[c] for c in t.children]}
+    return [out[t] for t in as_forest(f)]
 
 
 def forest_from_json(data) -> Forest:

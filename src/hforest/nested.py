@@ -408,21 +408,24 @@ def print_term(f: Forest) -> str:
 
 
 def _render(f: Forest) -> str:
-    if not f:
-        return "bot"
-    return "|".join(_render_tree(t) for t in f)
-
-
-def _render_tree(t: Tree) -> str:
-    if isinstance(t.label, int):
-        head = str(t.label)
-        if not t.children:
-            return head
-    else:
-        if not t.children:
-            return f"s({_render(t.label)})"
-        head = f"({_render(t.label)})"
-    child = _render(t.children)
-    if len(t.children) > 1:
-        child = f"({child})"
-    return f"{head}*{child}"
+    """The term of f as it stands, parents first off one stack of pieces,
+    each text to write or a forest still to render, pushed last first."""
+    out, stack = [], [f]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is str or not x:
+            out.append(x or "bot")
+            continue
+        for t in reversed(x):
+            kids = t.children
+            if len(kids) > 1:
+                stack += (")", kids, "*(")
+            elif kids:
+                stack += (kids, "*")
+            if t.label.__class__ is int:
+                stack.append(str(t.label))
+            else:  # a label is bracketed, or written s(...) on a leaf
+                stack += (")", t.label, "(" if kids else "s(")
+            stack.append("|")
+        stack.pop()  # no '|' before the first tree
+    return "".join(out)

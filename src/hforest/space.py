@@ -26,7 +26,6 @@ from .forest import (
     normalize,
     paths,
     postorder,
-    rank,
 )
 from .errors import SpaceError
 from .nested import nesting_level
@@ -516,7 +515,10 @@ def dh_witness_family(a: KPartition, forest: Forest, base: Base,
 
 def _ranked_paths(forest: Forest):
     """Paths of a flat forest with their ranks (leaf rank 0)."""
-    return [(path, t, rank((t,))) for path, t in paths(forest)]
+    ranks: dict = {}
+    for t in postorder(forest):
+        ranks[t] = max([1 + ranks[c] for c in t.children], default=0)
+    return [(path, t, ranks[t]) for path, t in paths(forest)]
 
 
 def family_to_diff_sequence(fam: PFamily) -> tuple:

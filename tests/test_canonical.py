@@ -42,6 +42,10 @@ def test_swap_colors():
     assert swap_colors((t_flat(2, PLAIN),)) == (t_flat(2, BAR),)
     with pytest.raises(ForestError):
         swap_colors(singleton(2))
+    # no recursion, at any depth of children or labels
+    assert swap_colors((t_flat(5000, PLAIN),)) == (t_flat(5000, BAR),)
+    deep = "s(" * 299 + "0*1" + ")" * 299
+    assert swap_colors(parse_term(deep)) == parse_term(deep.replace("0*1", "1*0"))
 
 
 def test_t_nested_examples():

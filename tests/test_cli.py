@@ -533,12 +533,65 @@ def test_numbers_outside_ascii_or_int_are_syntax_errors(capsys, argv):
 
 
 def test_deep_input_is_a_domain_error(capsys):
+    # a deep term answers; the JSON reader has a depth limit of its own
+    code, out, err = run(capsys, "normalize", "--forest", "0*" * 600 + "1")
+    assert (code, out, err) == (0, "0*1\n", "")
     node = '{"label": 0, "children": ['
     deep_json = "[" + node * 600 + "]}" * 600 + "]"
-    for text in ("0*" * 600 + "1", deep_json):
-        code, out, err = run(capsys, "normalize", "--forest", text)
-        assert code == 1 and out == ""
-        assert err == "domain error: input nested too deeply\n"
+    code, out, err = run(capsys, "normalize", "--forest", deep_json)
+    assert code == 1 and out == ""
+    assert err == "domain error: input nested too deeply\n"
+
+
+# The 1,000-node alternating chain, as deep as the term parser reads, and a
+# term 300 labels deep: both far deeper than a walk by recursion reaches.
+CHAIN = ("0*1*" * 500)[:-1]
+LAYERS = "s(" * 299 + "0*1" + ")" * 299
+OTHER_CHAIN = CHAIN[:-1] + "0"
+DH_CHECK = ["dh-check", "--space", "chain:2", "--partition", '{"labels": [0, 1]}']
+
+
+@pytest.mark.parametrize("argv, out, may_stop", [
+    pytest.param(["normalize", "--forest", CHAIN], CHAIN, False, id="normalize chain"),
+    pytest.param(["normalize", "--forest", LAYERS], LAYERS, False, id="normalize layers"),
+    pytest.param(["join", "--lhs", CHAIN, "--rhs", CHAIN], CHAIN, False, id="join chain"),
+    pytest.param(["join", "--lhs", LAYERS, "--rhs", LAYERS], LAYERS, False,
+                 id="join layers"),
+    pytest.param(["parse", "--forest", CHAIN, "--emit", "term"], CHAIN, False,
+                 id="parse term chain"),
+    pytest.param(["parse", "--forest", LAYERS, "--emit", "term"], LAYERS, False,
+                 id="parse term layers"),
+    pytest.param(["classify", "--forest", CHAIN, "--emit", "term"], "T[999]", False,
+                 id="classify chain"),
+    pytest.param(["classify", "--forest", LAYERS, "--bound", "10000", "--emit", "term"],
+                 "T[" + "w^(" * 298 + "w" + ")" * 298 + "]", False, id="classify layers"),
+    pytest.param(["flatten", "--forest", CHAIN], '{"size": 1000, "depth": 1, ', False,
+                 id="flatten chain"),
+    pytest.param(["flatten", "--forest", LAYERS], '{"size": 2, "depth": 300, ', False,
+                 id="flatten layers"),
+    pytest.param([*DH_CHECK, "--forest", CHAIN], '{"member": true, ', False,
+                 id="dh-check chain"),
+    pytest.param(["canonical", "--alpha", "9999"], ("0*1*" * 5000)[:-1], False,
+                 id="canonical 9999"),
+    # the stdlib JSON encoder and the two-tree walks may stop at the depth guard
+    pytest.param(["parse", "--forest", CHAIN], '[{"label": 0, "children": ', True,
+                 id="parse json chain"),
+    pytest.param(["parse", "--forest", LAYERS], '[{"label": [{"label": ', True,
+                 id="parse json layers"),
+    pytest.param(["compare", "--lhs", CHAIN, "--rhs", OTHER_CHAIN],
+                 '{"h_leq": false, "h_geq": true}', True, id="compare chains"),
+    pytest.param(["meet", "--lhs", CHAIN, "--rhs", OTHER_CHAIN], "", True,
+                 id="meet chains"),
+])
+def test_every_forest_verb_answers_as_deep_as_the_parser_reads(argv, out, may_stop):
+    call = _cli(*argv)
+    stdout, stderr = (s.decode() for s in call.communicate(timeout=60))
+    if may_stop and call.returncode:  # the one-line error, never a traceback
+        assert (call.returncode, stdout) == (1, "")
+        assert stderr == "domain error: input nested too deeply\n"
+    else:
+        assert (call.returncode, stderr) == (0, "")
+        assert stdout.startswith(out) and stdout.endswith("\n")
 
 
 def test_flatten_answers_at_the_parse_depth_limit(capsys):

@@ -87,12 +87,18 @@ def test_paths_and_postorder():
     # each distinct node once, after its children
     assert postorder(f) == [shared, two, f[0]]
     assert postorder(EMPTY) == [] and list(paths(EMPTY)) == []
+    # with labels, a node also comes after its label's nodes, at any depth
+    g = parse_term("((0*2)*1)*2")
+    inner = g[0].label[0]
+    assert postorder(g) == [Tree(2), g[0]]
+    assert postorder(g, True) == [Tree(2), Tree(1), inner.label[0], inner, g[0]]
     # neither walk recurses: a chain far deeper than the recursion limit
     deep = (Tree(0),)
     for _ in range(5000):
         deep = (Tree(1, deep),)
     assert len(list(paths(deep))) == len(postorder(deep)) == 5001
     assert postorder(deep)[-1] is deep[0]
+    assert rank(deep) == 5000
 
 
 def test_validate_and_max_color():

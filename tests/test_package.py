@@ -155,3 +155,14 @@ def test_the_membership_checks_stay_off_the_greedy_pass():
                  reference.reference_member):
         assert not _names(func.__code__) & fast, func.__name__
     assert "reference_sweep" in _names(reference.reference_member.__code__)
+
+
+def test_the_one_tree_folds_do_not_recurse():
+    # each walks forest.postorder or a stack of its own, so it answers on
+    # every forest the parser reads; a fold that calls itself fails here
+    from hforest import canonical, forest, nested, space
+
+    for func in (nested._render, forest.forest_to_json, forest._normalize_tree,
+                 canonical.swap_colors, canonical._decode, forest.rank,
+                 space._ranked_paths):
+        assert func.__name__ not in _names(func.__code__), func.__name__

@@ -530,6 +530,16 @@ def test_diff_sequence_round_trip():
     assert diag is None and part2.labels == part.labels
 
 
+def test_diff_sequence_on_a_deep_chain():
+    # every rank is read off one pass: no recursion, no pass per node
+    chain = chain_space(2)
+    a = KPartition((0, 1), 2)
+    forest = parse_term("0*1*" * 400 + "0")
+    seq = family_to_diff_sequence(dh_witness_family(a, forest, up_sets(chain), chain))
+    assert len(seq) == 800
+    assert difference_kernel(800, seq) == a.mask(1)
+
+
 def test_diff_sequence_exhaustive_round_trip():
     for sp in oracles.all_posets_up_to(3):
         base = up_sets(sp)
