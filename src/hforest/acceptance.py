@@ -8,13 +8,12 @@ corpus sizes; the smaller `fast` presets serve the quick selftest.
 from __future__ import annotations
 
 import random
-from functools import cmp_to_key
 from itertools import combinations, product
 
 from . import canonical, degrees, forest, nested, oracles, space
 from .forest import h_equiv, h_leq, join, meet, node_count, normalize
 from .nested import flatten, morphism_exists, nesting_level, parse_term, print_term
-from .ordinal import Ord, cmp_ord, pred
+from .ordinal import Ord, pred
 from .space import all_partitions, dh_membership, up_sets
 
 
@@ -215,8 +214,7 @@ def a5_canonical_nested(max_terms: int = 2, exp_depth: int = 2,
     classes of 2-forests of each (level, max nodes) in nested_classes, the
     names agree with the oracle search over notations at search_bound.
     """
-    frag = sorted(_ordinal_fragment(exp_depth, max_terms, max_coeff),
-                  key=cmp_to_key(cmp_ord))
+    frag = sorted(_ordinal_fragment(exp_depth, max_terms, max_coeff))
     for a in frag:
         ta = canonical.t_nested(a, canonical.PLAIN)
         tb = canonical.t_nested(a, canonical.BAR)
@@ -269,7 +267,7 @@ def _ordinal_fragment(depth: int, max_terms: int, max_coeff: int) -> list:
 
     def grow(prefix: tuple, remaining: int):
         for e in exps:
-            if prefix and cmp_ord(e, prefix[-1][0]) >= 0:
+            if prefix and not e < prefix[-1][0]:
                 continue
             for c in range(1, max_coeff + 1):
                 term = prefix + ((e, c),)

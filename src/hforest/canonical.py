@@ -30,8 +30,6 @@ from .forest import (
     normalize,
     normalize_label,
     postorder,
-    singleton,
-    wrap,
 )
 from .ordinal import ZERO, Ord, add, omega_pow
 
@@ -75,27 +73,30 @@ def t_flat(n: int, polarity: str = PLAIN) -> Tree:
     return t
 
 
-@lru_cache(maxsize=None)
 def t_nested(a: Ord, polarity: str = PLAIN) -> Forest:
     """The canonical nested 2-forest named by the notation a."""
-    f = _t_plain(a)
-    return swap_colors(f) if polarity == BAR else f
+    return _t_pair(a)[polarity == BAR]
 
 
 @lru_cache(maxsize=None)
-def _t_plain(a: Ord) -> Forest:
+def _t_pair(a: Ord) -> tuple[Forest, Forest]:
+    """(T_a, bar T_a).  The d copies of w^g in b + w^g*d alternate polarity:
+    each plain copy wraps the bar one below it and each bar copy the plain
+    one, so only the head label is color-swapped, once per CNF term."""
     if a.is_finite():
-        return (t_flat(a.to_int()),)
+        return (t_flat(a.to_int()),), (t_flat(a.to_int(), BAR),)
     gamma, delta = a.terms[-1]
     beta = Ord(a.terms[:-1])
-    head = normalize_label(_t_plain(gamma))
-    if delta == 1 and beta.is_zero():
-        return singleton(head)
-    if delta == 1:
-        body = join(_t_plain(beta), swap_colors(_t_plain(beta)))
+    head = normalize_label(_t_pair(gamma)[0])
+    bar_head = 1 - head if isinstance(head, int) else swap_colors(head)
+    if beta.is_zero():
+        plain, bar = Tree(head), Tree(bar_head)
     else:
-        body = swap_colors(_t_plain(add(beta, Ord(((gamma, delta - 1),)))))
-    return (wrap(head, body),)
+        t_b, bar_b = _t_pair(beta)
+        plain, bar = Tree(head, t_b + bar_b), Tree(bar_head, bar_b + t_b)
+    for _ in range(delta - 1):
+        plain, bar = Tree(head, (bar,)), Tree(bar_head, (plain,))
+    return (plain,), (bar,)
 
 
 def canonical_size(f: Forest) -> int:
@@ -125,9 +126,10 @@ def representative(name: CanonicalName, flat: bool = False) -> Forest:
     index is finite, whose forest is already the flat chain."""
     if flat and not name.index.is_finite():
         raise ForestError(f"{name} has no flat representative")
+    plain, bar = _t_pair(name.index)
     if name.kind == "TjoinTbar":
-        return join(t_nested(name.index, PLAIN), t_nested(name.index, BAR))
-    return t_nested(name.index, PLAIN if name.kind == "T" else BAR)
+        return join(plain, bar)
+    return plain if name.kind == "T" else bar
 
 
 def classify_2forest(f: Forest) -> CanonicalName:
@@ -154,7 +156,7 @@ def _name(f: Forest) -> CanonicalName | None:
     """The name whose canonical forest has the normal form f, or None.
 
     Normal forms are unique per class, so the first normal tree is decoded
-    by inverting the case split of _t_plain; one tree is T_a or bar T_a,
+    by inverting the case split of _t_pair; one tree is T_a or bar T_a,
     two are T_a | bar T_a.  A canonical forest is its own normal form up
     to the order of siblings, so a guess of another size cannot match; that
     test comes first, so the confirmation never builds a forest larger

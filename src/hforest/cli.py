@@ -33,8 +33,7 @@ EXIT_SYNTAX = 2
 MAX_SPACE_POINTS = 512
 
 # Most nodes `canonical` builds, counted by canonical._t_size before
-# anything is built.  The largest canonical forest in tests/ and
-# benchmarks/ has 14 nodes.
+# anything is built.  tests/test_cli.py builds forests at this bound.
 MAX_CANONICAL_NODES = 10_000
 
 

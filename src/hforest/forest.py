@@ -118,9 +118,9 @@ def as_label(f: Forest) -> Label:
     return f
 
 
-def paths(f: Forest, prefix=()):
+def paths(f: Forest):
     """Every node as (path, tree), parents first; a path is child indices."""
-    stack = [(prefix + (i,), t) for i, t in enumerate(as_forest(f))][::-1]
+    stack = [((i,), t) for i, t in enumerate(as_forest(f))][::-1]
     while stack:
         path, t = stack.pop()
         yield path, t
@@ -355,6 +355,8 @@ def label_meet(a: Label, b: Label) -> Label | None:
 # ---------------------------------------------------------------------------
 # JSON interchange: {"label": int | [tree...], "children": [tree...]}
 
+_NO_CHILDREN: list = []  # one object for every tree without "children"
+
 
 def forest_to_json(f: Forest) -> list:
     """f as JSON; equal subtrees share one object."""
@@ -366,15 +368,28 @@ def forest_to_json(f: Forest) -> list:
 
 
 def forest_from_json(data) -> Forest:
-    if not isinstance(data, list):
-        raise ForestError("forest JSON must be an array of trees")
-    return tuple(tree_from_json(item) for item in data)
-
-
-def tree_from_json(data) -> Tree:
-    if not isinstance(data, dict) or "label" not in data:
-        raise ForestError("tree JSON must be an object with a 'label'")
-    label = data["label"]
-    if isinstance(label, list):
-        label = forest_from_json(label)
-    return Tree(label, forest_from_json(data.get("children", [])))
+    """The forest a JSON value describes, read on an explicit stack: each
+    array after the arrays of its trees' labels and children."""
+    read: dict = {}  # id of an array -> its forest; data keeps the arrays alive
+    opened = set()  # ids of the arrays waiting on the stack for those below
+    stack = [data]
+    while stack:
+        items = stack[-1]
+        if not isinstance(items, list):
+            raise ForestError("forest JSON must be an array of trees")
+        if not all(isinstance(t, dict) and "label" in t for t in items):
+            raise ForestError("tree JSON must be an object with a 'label'")
+        parts = [(t["label"], t.get("children", _NO_CHILDREN)) for t in items]
+        below = [f for label, kids in parts for f in (label, kids)
+                 if (f is kids or isinstance(f, list)) and id(f) not in read]
+        if below:
+            if any(id(f) in opened for f in below):
+                raise ForestError("forest JSON must not contain itself")
+            opened.add(id(items))
+            stack += reversed(below)
+            continue
+        stack.pop()
+        read[id(items)] = tuple(
+            Tree(read[id(label)] if isinstance(label, list) else label, read[id(kids)])
+            for label, kids in parts)
+    return read[id(data)]

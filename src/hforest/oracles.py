@@ -8,13 +8,13 @@ can be validated against an independent authority.
 from __future__ import annotations
 
 import random
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 
 from .canonical import BAR, PLAIN, CanonicalName, _t_size, t_nested
 from .forest import EMPTY, Forest, Tree, as_forest, as_label, normalize, sort_key
 from .nested import flatten, morphism_exists, nesting_level
-from .ordinal import ZERO, Ord, cmp_ord
-from .space import FiniteSpace
+from .ordinal import ZERO, Ord
+from .space import FiniteSpace, SpaceError
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def ordinal_candidates(size_bound: int) -> tuple[Ord, ...]:
     """
 
     def sweep(exponents: list[Ord]) -> list[Ord]:
-        exps = sorted(exponents, key=cmp_to_key(cmp_ord))
+        exps = sorted(exponents)
         label = [0 if e.is_zero() else _t_size(e) for e in exps]
         out: list[Ord] = []
 
@@ -192,7 +192,7 @@ def ordinal_candidates(size_bound: int) -> tuple[Ord, ...]:
         if len(result) == len(exponents):
             break
         exponents = result
-    result.sort(key=cmp_to_key(cmp_ord))
+    result.sort()
     return tuple(result)
 
 
@@ -219,20 +219,11 @@ def all_posets(n: int) -> list:
         for idx, (i, j) in enumerate(pairs):
             if bits >> idx & 1:
                 up[i] |= 1 << j
-        if _is_partial_order(n, up):
+        try:
             out.append(FiniteSpace(n, tuple(up)))
+        except SpaceError:  # not antisymmetric or not transitive
+            pass
     return out
-
-
-def _is_partial_order(n: int, up) -> bool:
-    for i in range(n):
-        for j in range(n):
-            if i != j and up[i] >> j & 1:
-                if up[j] >> i & 1:
-                    return False
-                if up[j] & ~up[i]:
-                    return False
-    return True
 
 
 def all_posets_up_to(max_points: int) -> list:

@@ -36,7 +36,7 @@ class Ord(Record):
             if not isinstance(exp, Ord) or not isinstance(coeff, int) or coeff < 1:
                 raise ValueError(f"bad CNF term ({exp!r}, {coeff!r})")
         for (a, _), (b, _) in zip(terms, terms[1:]):
-            if cmp_ord(a, b) <= 0:
+            if not b < a:
                 raise ValueError("CNF exponents must be strictly decreasing")
         set_field(self, "terms", terms)
         set_field(self, "_hash", hash((terms,)))
@@ -67,7 +67,8 @@ class Ord(Record):
         return self.finite_part()
 
     def __lt__(self, other: "Ord") -> bool:
-        return cmp_ord(self, other) < 0
+        # CNF order is the tuple order of the (exponent, coefficient) terms
+        return self.terms < other.terms
 
     def __str__(self) -> str:
         return format_ordinal(self)
@@ -90,15 +91,7 @@ def ord_of(n: int) -> Ord:
 
 def cmp_ord(a: Ord, b: Ord) -> int:
     """Total order on notations: -1, 0 or 1 (LT, EQ, GT)."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = cmp_ord(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) == len(b.terms):
-        return 0
-    return -1 if len(a.terms) < len(b.terms) else 1
+    return (b < a) - (a < b)
 
 
 def parity(a: Ord) -> str:
@@ -113,9 +106,9 @@ def add(a: Ord, b: Ord) -> Ord:
     if a.is_zero():
         return b
     lead = b.terms[0][0]
-    kept = [t for t in a.terms if cmp_ord(t[0], lead) > 0]
+    kept = [t for t in a.terms if lead < t[0]]
     rest = list(b.terms)
-    if len(kept) < len(a.terms) and cmp_ord(a.terms[len(kept)][0], lead) == 0:
+    if len(kept) < len(a.terms) and a.terms[len(kept)][0] == lead:
         rest[0] = (lead, a.terms[len(kept)][1] + rest[0][1])
     return Ord(tuple(kept) + tuple(rest))
 
@@ -221,7 +214,7 @@ def format_ordinal(a: Ord) -> str:
         if exp.is_zero():
             parts.append(str(coeff))
             continue
-        if cmp_ord(exp, ONE) == 0:
+        if exp == ONE:
             base = "w"
         elif exp.is_finite():
             base = f"w^{exp.to_int()}"

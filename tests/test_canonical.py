@@ -1,5 +1,7 @@
 """Canonical 2-labeled trees over ordinal notations."""
 
+from functools import lru_cache
+
 import pytest
 
 from hforest.canonical import (
@@ -22,12 +24,13 @@ from hforest.forest import (
     h_leq,
     join,
     meet,
+    normalize_label,
     singleton,
     wrap,
 )
 from hforest.nested import parse_term, s_embed
 from hforest.oracles import ordinal_candidates
-from hforest.ordinal import OMEGA, add, cmp_ord, ord_of, parse_ordinal, succ
+from hforest.ordinal import OMEGA, Ord, add, cmp_ord, ord_of, parse_ordinal, succ
 
 
 def test_t_flat_examples():
@@ -57,6 +60,46 @@ def test_t_nested_examples():
     assert two_omega == (wrap(parse_term("0*1")[0].label, omega_bar),) or \
         two_omega == (wrap(parse_term("0*1"), omega_bar),)
     assert h_equiv(two_omega, (wrap(parse_term("0*1"), omega_bar),))
+
+
+@lru_cache(maxsize=None)
+def _reference_plain(a):
+    """T_a by the recursive case split, one step per coefficient, with every
+    bar copy made by swapping the colors of the whole copy below it."""
+    if a.is_finite():
+        return (t_flat(a.to_int()),)
+    gamma, delta = a.terms[-1]
+    beta = Ord(a.terms[:-1])
+    head = normalize_label(_reference_plain(gamma))
+    if delta == 1 and beta.is_zero():
+        return singleton(head)
+    if delta == 1:
+        body = join(_reference_plain(beta), swap_colors(_reference_plain(beta)))
+    else:
+        body = swap_colors(_reference_plain(add(beta, Ord(((gamma, delta - 1),)))))
+    return (wrap(head, body),)
+
+
+def _reference(a, polarity):
+    f = _reference_plain(a)
+    return swap_colors(f) if polarity == BAR else f
+
+
+@pytest.mark.parametrize("notations", [
+    pytest.param(ordinal_candidates(16), id="candidates-16"),
+    pytest.param([parse_ordinal(text) for text in
+                  ("w*5", "w*200", "w^2*100+w*3+5", "w^w*3+w^3*2+1")], id="coefficients"),
+])
+def test_t_nested_is_the_reference_tree(notations):
+    # the same interned trees, so the same object, in both polarities
+    for a in notations:
+        for polarity in (PLAIN, BAR):
+            (t,), (expected,) = t_nested(a, polarity), _reference(a, polarity)
+            assert t is expected, (str(a), polarity)
+        plain, bar = _reference(a, PLAIN), _reference(a, BAR)
+        assert representative(CanonicalName("T", a)) == plain
+        assert representative(CanonicalName("Tbar", a)) == bar
+        assert representative(CanonicalName("TjoinTbar", a)) == plain + bar
 
 
 def test_t_nested_finite_agrees_with_flat():

@@ -219,6 +219,7 @@ def test_space_point_limit_admits_its_bound():
     ["classify", "--forest", "0*1", "--bound", "-1"],
     ["canonical", "--alpha", "10000000"],
     ["canonical", "--alpha", "w*10000000", "--polarity", "bar"],
+    ["canonical", "--alpha", "w*3334"],  # 10,002 nodes
     ["canonical", "--alpha", "w^w^w*" + "9" * 40],
     # 10,239 nodes, built from two T_b | bar T_b at each of ten steps
     ["canonical", "--alpha", "w^9+w^8+w^7+w^6+w^5+w^4+w^3+w^2+w+1"],
@@ -549,6 +550,16 @@ CHAIN = ("0*1*" * 500)[:-1]
 LAYERS = "s(" * 299 + "0*1" + ")" * 299
 OTHER_CHAIN = CHAIN[:-1] + "0"
 DH_CHECK = ["dh-check", "--space", "chain:2", "--partition", '{"labels": [0, 1]}']
+# The alternating chain 490 trees deep as forest JSON: near the stdlib
+# decoder's own depth limit, two levels (an object and an array) per tree.
+JSON_CHAIN = ("[" + "".join(f'{{"label": {i % 2}, "children": [' for i in range(490))
+              + "]}" * 490 + "]")
+
+
+def _copies(labels, d):
+    """The term of d copies of w^g down a chain, their labels alternating."""
+    items = [labels[i % 2] for i in range(d)]
+    return "*".join(f"({x})" for x in items[:-1]) + f"*s({items[-1]})"
 
 
 @pytest.mark.parametrize("argv, out, may_stop", [
@@ -573,6 +584,18 @@ DH_CHECK = ["dh-check", "--space", "chain:2", "--partition", '{"labels": [0, 1]}
                  id="dh-check chain"),
     pytest.param(["canonical", "--alpha", "9999"], ("0*1*" * 5000)[:-1], False,
                  id="canonical 9999"),
+    # coefficients as large as the node guard admits
+    pytest.param(["canonical", "--alpha", "w*3333"], _copies(("0*1", "1*0"), 3333),
+                 False, id="canonical w*3333"),
+    pytest.param(["canonical", "--alpha", "w*3333", "--polarity", "bar"],
+                 _copies(("1*0", "0*1"), 3333), False, id="canonical w*3333 bar"),
+    pytest.param(["canonical", "--alpha", "w^2*2500"],
+                 _copies(("0*1*0", "1*0*1"), 2500), False, id="canonical w^2*2500"),
+    pytest.param(["canonical", "--alpha", "w^w*1000", "--polarity", "bar"],
+                 "s(" + _copies(("1*0", "0*1"), 1000) + ")", False,
+                 id="canonical w^w*1000 bar"),
+    pytest.param(["normalize", "--forest", JSON_CHAIN], ("0*1*" * 245)[:-1], False,
+                 id="normalize json chain"),
     # the stdlib JSON encoder and the two-tree walks may stop at the depth guard
     pytest.param(["parse", "--forest", CHAIN], '[{"label": 0, "children": ', True,
                  id="parse json chain"),

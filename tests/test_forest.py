@@ -249,6 +249,11 @@ def test_json_errors():
         forest_from_json([{"children": []}])
     with pytest.raises(ForestError):
         forest_from_json([{"label": "x"}])
+    # a value built in process can hold itself, which no JSON text can
+    loop: list = []
+    loop.append({"label": 0, "children": [{"label": loop}]})
+    with pytest.raises(ForestError, match="must not contain itself"):
+        forest_from_json(loop)
 
 
 def test_equal_trees_are_one_object():

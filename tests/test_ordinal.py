@@ -134,6 +134,37 @@ def test_corpus_total_order():
         assert add(add(a, b), c) == add(a, add(b, c))
 
 
+def _reference_cmp(a, b):
+    """CNF comparison by an explicit loop: exponent, then coefficient, term
+    by term, and a proper prefix is smaller."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = _reference_cmp(ea, eb)
+        if c != 0:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) == len(b.terms):
+        return 0
+    return -1 if len(a.terms) < len(b.terms) else 1
+
+
+def test_order_is_the_reference_comparison():
+    import random
+    from functools import cmp_to_key
+
+    from hforest.oracles import ordinal_candidates
+
+    pool = list(ordinal_candidates(16)) + CORPUS
+    rng = random.Random(19)
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(5000)]
+    pairs += [(a, a) for a in pool[:200]]
+    for a, b in pairs:
+        expected = _reference_cmp(a, b)
+        assert cmp_ord(a, b) == expected
+        assert (a < b, a == b, a > b) == (expected < 0, expected == 0, expected > 0)
+    assert sorted(pool, key=cmp_to_key(_reference_cmp)) == sorted(pool)
+
+
 def test_corpus_pointwise_laws():
     for a in CORPUS:
         assert parse_ordinal(format_ordinal(a)) == a

@@ -164,5 +164,5 @@ def test_the_one_tree_folds_do_not_recurse():
 
     for func in (nested._render, forest.forest_to_json, forest._normalize_tree,
                  canonical.swap_colors, canonical._decode, forest.rank,
-                 space._ranked_paths):
+                 space._ranked_paths, forest.forest_from_json):
         assert func.__name__ not in _names(func.__code__), func.__name__

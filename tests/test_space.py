@@ -204,6 +204,12 @@ def test_up_sets_examples():
     assert len(up_sets(chain_space(40))) == 41
 
 
+def test_all_posets_are_the_labeled_posets():
+    # the corpus A4, A7 and A8 run on: one space per labeled partial order
+    # (OEIS A001035)
+    assert [len(oracles.all_posets(n)) for n in (1, 2, 3, 4)] == [1, 3, 19, 219]
+
+
 def test_up_sets_match_brute_force_filter():
     for sp in oracles.all_posets_up_to(4):
         expected = {m for m in range(sp.full + 1) if sp.is_upset(m)}
