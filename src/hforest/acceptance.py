@@ -404,7 +404,8 @@ def a8_level_monotonicity(max_points: int = 3, flat_nodes: int = 4, k: int = 3,
 
 
 def a9_degrees():
-    """Known degree structures of the two-point spaces."""
+    """Known degree structures of the two-point spaces, and degree_poset
+    against the all-pairs authority on small and named spaces."""
     chain = degrees.degree_poset(space.chain_space(2), 2)
     if len(chain) != 4:
         return _fail(f"2-chain has {len(chain)} degrees, expected 4")
@@ -417,7 +418,16 @@ def a9_degrees():
     anti = degrees.degree_poset(space.antichain_space(2), 2)
     if len(anti) != 3:
         return _fail(f"2-antichain has {len(anti)} degrees, expected 3")
-    return True, "2-chain: 4 degrees (2 minimal, 2 maximal); 2-antichain: 3"
+    cases = [(sp, k) for sp in oracles.all_posets_up_to(3) for k in (1, 2, 3)]
+    cases += [(sp, k) for sp in (space.chain_space(4), space.antichain_space(4),
+                                 space.diamond_space()) for k in (1, 2, 3, 4)]
+    for sp, k in cases:
+        poset = degrees.degree_poset(sp, k)
+        if (poset.classes, poset.leq) != oracles.oracle_degree_poset(sp, k):
+            return _fail(f"degree poset of {sp.to_json()} at k={k} differs "
+                         "from the all-pairs table")
+    return True, ("2-chain: 4 degrees (2 minimal, 2 maximal); 2-antichain: 3; "
+                  f"all-pairs table matched in {len(cases)} cases")
 
 
 def a10_parser(samples: int = 1000, seed: int = 10):

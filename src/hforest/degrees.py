@@ -3,25 +3,45 @@
 On a finite Alexandrov space the continuous self-maps are exactly the
 monotone ones, so A reduces to B when A = B o f for some monotone f.  The
 degrees are the equivalence classes of mutual reducibility, partially
-ordered by reducibility of representatives.
+ordered by reducibility of representatives.  The monotone self-maps form
+a monoid M, so B o f o M lies inside B o M: every member of a class has
+the same down-set, and it is computed once per class.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from array import array
+from operator import mul
+from sys import byteorder
 
 from ._record import Record, set_field
 from .nested import LabeledNPreorder, morphism_exists
-from .space import (FiniteSpace, KPartition, SpaceError, all_partitions,
-                    check_size_guard, hasse_edges)
+from .space import (FiniteSpace, KPartition, SpaceError, _points_of,
+                    all_partitions, check_size_guard, hasse_edges)
 
 
 def monotone_maps(x: FiniteSpace, y: FiniteSpace):
-    """All order-preserving functions from x to y, as tuples of images."""
+    """All order-preserving functions from x to y, as tuples of images.
+
+    The maps grow one point of x at a time.  Point p may go to the points
+    of y above the image of each earlier point below p and below the image
+    of each earlier point above p: one AND of order rows of y per earlier
+    point.  The list comes out in the order of itertools.product.
+    """
     check_size_guard(max(x.n, y.n), 2)
-    pairs = [(i, j) for i in range(x.n) for j in range(x.n) if i != j and x.leq(i, j)]
-    return [images for images in product(range(y.n), repeat=x.n)
-            if all(y.up[images[i]] >> images[j] & 1 for i, j in pairs)]
+    down = [sum(1 << u for u in range(y.n) if y.up[u] >> v & 1) for v in range(y.n)]
+    maps = [()]
+    for p in range(x.n):
+        rows = [(q, y.up) for q in range(p) if x.up[q] >> p & 1]
+        rows += [(q, down) for q in range(p) if x.up[p] >> q & 1]
+        grown = []
+        for f in maps:
+            allowed = (1 << y.n) - 1
+            for q, row in rows:
+                allowed &= row[f[q]]
+            grown += [f + (v,) for v in _points_of(allowed)]
+        maps = grown
+    return maps
 
 
 def wadge_leq(a: KPartition, b: KPartition, space: FiniteSpace,
@@ -71,28 +91,55 @@ class DegreePoset(Record):
 def degree_poset(space: FiniteSpace, k: int) -> DegreePoset:
     """Quotient of all k-partitions by mutual reducibility; k >= 1.
 
-    Row i is the bitmask of the partitions j with partition i = partition
-    j o f for some monotone f: the up-set of i.  Two partitions are
-    mutually reducible exactly when their rows are equal.
+    The partitions are walked in product order, so partition i has index
+    i = sum of labels[x] * k ** (n-1-x).  Each partition b not yet placed
+    starts a class and computes its down-set b o M once, as the indexes
+    sum of b[v] * w_f[v], with one weight vector per monotone map f:
+    w_f[v] is the sum of k ** (n-1-x) over the x that f sends to v.  Each
+    unplaced a in that down-set that uses the same colors as b, and that b
+    reduces to, joins b's class.  Class c lies below class d exactly when
+    c's first member lies in d's down-set.
+
+    The weights are packed: column v holds w_f[v] of every map f, one
+    array item each, as one int, so sum of b[v] * column v is every index
+    of b o M at once.  An index is below k ** n <= 4 ** 5, so it fits its
+    item and no sum carries into the next.
     """
     if k < 1:
         raise SpaceError(f"the number of colors must be at least 1, not {k}")
     check_size_guard(space.n, k)
-    partitions = list(all_partitions(space.n, k))
+    n = space.n
     maps = monotone_maps(space, space)
-    index = {a.labels: i for i, a in enumerate(partitions)}
-    rows = [0] * len(partitions)
-    for j, b in enumerate(partitions):
-        bit = 1 << j
-        for i in {index[tuple(b.labels[x] for x in f)] for f in maps}:
-            rows[i] |= bit
-    classes: dict = {}  # row -> members, in order of first member
-    for row, a in zip(rows, partitions):
-        classes.setdefault(row, []).append(a)
-    firsts = [index[members[0].labels] for members in classes.values()]
-    leq = tuple(frozenset(c for c, j in enumerate(firsts) if row >> j & 1)
-                for row in classes)
-    return DegreePoset(space, k, tuple(map(tuple, classes.values())), leq)
+    places = [k ** (n - 1 - x) for x in range(n)]
+    weights = [array("H", [0]) * len(maps) for _ in range(n)]
+    for m, f in enumerate(maps):
+        for x, v in enumerate(f):
+            weights[v][m] += places[x]
+    width = array("H").itemsize * len(maps)  # bytes in a packed int
+    columns = [int.from_bytes(w.tobytes(), byteorder) for w in weights]
+    partitions = list(all_partitions(n, k))
+    placed = [False] * len(partitions)
+    firsts, downs, classes = [], [], []
+    for i, b in enumerate(partitions):
+        if placed[i]:
+            continue
+        placed[i] = True
+        packed = sum(map(mul, b.labels, columns))
+        down = set(array("H", packed.to_bytes(width, byteorder)))
+        colors = set(b.labels)
+        members = [b]
+        for j in sorted(down):
+            a = partitions[j]
+            if (not placed[j] and set(a.labels) == colors
+                    and wadge_leq(b, a, space)):
+                placed[j] = True
+                members.append(a)
+        firsts.append(i)
+        downs.append(down)
+        classes.append(tuple(members))
+    leq = tuple(frozenset(d for d, down in enumerate(downs) if i in down)
+                for i in firsts)
+    return DegreePoset(space, k, tuple(classes), leq)
 
 
 def degrees_to_json(poset: DegreePoset) -> dict:

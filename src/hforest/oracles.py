@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import product
 
 from .canonical import BAR, PLAIN, CanonicalName, _t_size, t_nested
 from .forest import EMPTY, Forest, Tree, as_forest, as_label, normalize, sort_key
 from .nested import flatten, morphism_exists, nesting_level
 from .ordinal import ZERO, Ord
-from .space import FiniteSpace, SpaceError
+from .space import FiniteSpace, SpaceError, all_partitions
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +229,45 @@ def all_posets(n: int) -> list:
 
 def all_posets_up_to(max_points: int) -> list:
     return [p for n in range(1, max_points + 1) for p in all_posets(n)]
+
+
+# ---------------------------------------------------------------------------
+# degrees of k-partitions from every composition
+
+
+def oracle_monotone_maps(x: FiniteSpace, y: FiniteSpace) -> list:
+    """Every tuple of images of x's points in y, in product order, kept
+    when it preserves every pair of the order."""
+    pairs = [(i, j) for i in range(x.n) for j in range(x.n) if x.leq(i, j)]
+    return [f for f in product(range(y.n), repeat=x.n)
+            if all(y.leq(f[i], f[j]) for i, j in pairs)]
+
+
+def oracle_degree_poset(space: FiniteSpace, k: int) -> tuple:
+    """(classes, leq) of the degree poset from a P x P table of reductions.
+
+    red[i][j] holds when partition i is partition j composed with some
+    monotone map; the table is filled by composing every partition with
+    every map.  Each partition joins the first class found so far whose
+    first member it is mutually reducible with, else starts one.
+    """
+    partitions = list(all_partitions(space.n, k))
+    maps = oracle_monotone_maps(space, space)
+    index = {a.labels: i for i, a in enumerate(partitions)}
+    red = [[False] * len(partitions) for _ in partitions]
+    for j, b in enumerate(partitions):
+        for f in maps:
+            red[index[tuple(b.labels[x] for x in f)]][j] = True
+    classes = []
+    for i, a in enumerate(partitions):
+        for members in classes:
+            j = index[members[0].labels]
+            if red[i][j] and red[j][i]:
+                members.append(a)
+                break
+        else:
+            classes.append([a])
+    firsts = [index[members[0].labels] for members in classes]
+    leq = tuple(frozenset(c for c, j in enumerate(firsts) if red[i][j])
+                for i in firsts)
+    return tuple(tuple(c) for c in classes), leq

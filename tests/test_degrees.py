@@ -34,6 +34,13 @@ def test_monotone_maps_examples():
         monotone_maps(antichain_space(6), chain)
 
 
+def test_monotone_maps_match_the_product_filter():
+    posets = oracles.all_posets_up_to(3)
+    for x in posets:
+        for y in posets:
+            assert monotone_maps(x, y) == oracles.oracle_monotone_maps(x, y)
+
+
 def test_wadge_leq_examples():
     chain = chain_space(2)
     top_is_1 = KPartition((0, 1), 2)
@@ -115,37 +122,12 @@ def test_degree_poset_consistent_with_wadge_leq():
                 assert (j in poset.leq[i]) == wadge_leq(ci[0], cj[0], sp)
 
 
-def _degree_poset_by_all_pairs(space, k):
-    """Classes and order as degree_poset gave them on a P x P table of
-    reductions, scanning the classes found so far for each partition."""
-    partitions = list(all_partitions(space.n, k))
-    maps = monotone_maps(space, space)
-    index = {a.labels: i for i, a in enumerate(partitions)}
-    red = [[False] * len(partitions) for _ in partitions]
-    for j, b in enumerate(partitions):
-        for f in maps:
-            red[index[tuple(b.labels[x] for x in f)]][j] = True
-    classes = []
-    for i, a in enumerate(partitions):
-        for members in classes:
-            j = index[members[0].labels]
-            if red[i][j] and red[j][i]:
-                members.append(a)
-                break
-        else:
-            classes.append([a])
-    firsts = [index[members[0].labels] for members in classes]
-    leq = tuple(frozenset(c for c, j in enumerate(firsts) if red[i][j])
-                for i in firsts)
-    return tuple(tuple(c) for c in classes), leq
-
-
 def test_degree_poset_matches_the_all_pairs_table():
     cases = [(sp, k) for sp in oracles.all_posets_up_to(4) for k in (1, 2, 3)]
     cases.append((diamond_space(), 2))
     for sp, k in cases:
         poset = degree_poset(sp, k)
-        assert (poset.classes, poset.leq) == _degree_poset_by_all_pairs(sp, k)
+        assert (poset.classes, poset.leq) == oracles.oracle_degree_poset(sp, k)
 
 
 def test_relabeling_invariance():

@@ -11,7 +11,11 @@ derandomized, so the examples are the same on every run.
 import contextlib
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
+import time
 from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
@@ -232,6 +236,21 @@ def test_degrees(space, k, emit, split):
     if k is not None:
         argv += option("k", k, split)
     call(with_emit(argv, emit, split))
+
+
+def test_degrees_at_the_limits_answers_in_time():
+    # 4 ** 5 partitions of the 5-point antichain and 5 ** 5 monotone maps:
+    # the most of both that the point and color limits admit
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    start = time.monotonic()
+    p = subprocess.run([sys.executable, "-m", "hforest.cli", "degrees",
+                        "--space", "antichain:5", "--k", "4"],
+                       env={**os.environ, "PYTHONPATH": path},
+                       capture_output=True, text=True, timeout=60)
+    elapsed = time.monotonic() - start
+    assert p.returncode == 0 and p.stderr == "", p.stderr
+    assert elapsed < SECONDS, f"took {elapsed:.2f} s"
 
 
 # ---------------------------------------------------------------------------

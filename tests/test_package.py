@@ -138,6 +138,18 @@ def test_the_authority_stays_off_the_fast_path():
     assert "_table" in _names(nested.morphism_exists.__code__)
 
 
+def test_the_degree_authority_stays_off_the_fast_path():
+    # oracle_degree_poset composes every partition with every map of its
+    # own product filter, so it checks degree_poset and monotone_maps
+    # without the morphism search they use
+    from hforest import oracles
+
+    fast = {"monotone_maps", "wadge_leq", "morphism_exists", "degree_poset"}
+    for func in (oracles.oracle_degree_poset, oracles.oracle_monotone_maps):
+        assert not _names(func.__code__) & fast, func.__name__
+    assert "oracle_monotone_maps" in _names(oracles.oracle_degree_poset.__code__)
+
+
 def test_the_membership_checks_stay_off_the_greedy_pass():
     # family_defines checks every witness and difference_kernel is A4's
     # enumeration; the kept reference sweep checks the pass in test_space

@@ -148,6 +148,51 @@ def test_space_construction():
     assert round_trip == chain
 
 
+@pytest.mark.parametrize("n, up, message", [
+    (2, (0b101, 0b10), "an order row names points outside the space"),
+    (2, (-1, 0b10), "an order row names points outside the space"),
+    (2, (1, 2, 4), "3 order rows for 2 points"),
+    (3, (1, 2), "2 order rows for 3 points"),
+])
+def test_space_rows_name_only_its_points(n, up, message):
+    with pytest.raises(SpaceError, match=message):
+        FiniteSpace(n, up)
+
+
+def _pairwise_order_check(n, up):
+    """The order checks as every pair (i, j) in turn: the reference for
+    FiniteSpace, which walks only the points in each row."""
+    for i in range(n):
+        if not up[i] & (1 << i):
+            raise SpaceError("order must be reflexive")
+        for j in range(n):
+            if i != j and up[i] & (1 << j) and up[j] & (1 << i):
+                raise SpaceError(f"points {i} and {j} violate antisymmetry")
+            if up[i] & (1 << j) and up[j] & ~up[i]:
+                raise SpaceError("order must be transitive")
+
+
+def test_space_checks_match_the_pairwise_reference():
+    # every tuple of rows on up to 4 points, so the first failing check and
+    # its message are the reference's on each
+    count = 0
+    for n in range(1, 5):
+        for up in product(range(1 << n), repeat=n):
+            count += 1
+            try:
+                _pairwise_order_check(n, up)
+                expected = None
+            except SpaceError as exc:
+                expected = str(exc)
+            try:
+                FiniteSpace(n, up)
+                got = None
+            except SpaceError as exc:
+                got = str(exc)
+            assert got == expected, (n, up)
+    assert count == 66_066
+
+
 @pytest.mark.parametrize("le", [[[]], [[0]], [[0, 1, 1]], [[0, 1.0]],
                                 [["0", 1]], {"0": 1}, [7], "01", None])
 def test_space_json_pairs_must_be_point_pairs(le):
