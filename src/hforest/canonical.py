@@ -18,6 +18,7 @@ supported.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 
 from ._record import Record, set_field
 from .forest import (
@@ -156,11 +157,12 @@ def _name(f: Forest) -> CanonicalName | None:
     """The name whose canonical forest has the normal form f, or None.
 
     Normal forms are unique per class, so the first normal tree is decoded
-    by inverting the case split of _t_pair; one tree is T_a or bar T_a,
-    two are T_a | bar T_a.  A canonical forest is its own normal form up
-    to the order of siblings, so a guess of another size cannot match; that
-    test comes first, so the confirmation never builds a forest larger
-    than f.  One comparison of normal forms confirms the guess.
+    by inverting the case split of _t_pair, once in its lifetime (_decode);
+    one tree is T_a or bar T_a, two are T_a | bar T_a.  A canonical forest
+    is its own normal form up to the order of siblings, so a guess of
+    another size cannot match; that test comes first, so the confirmation
+    never builds a forest larger than f.  One comparison of normal forms
+    confirms the guess.
     """
     guess = _decode(f[0]) if 1 <= len(f) <= 2 else None
     if guess is None or len(f) * _t_size(guess[0]) != canonical_size(f):
@@ -171,26 +173,35 @@ def _name(f: Forest) -> CanonicalName | None:
     return name if normalize(representative(name)) == f else None
 
 
+# The _guess slot of a node that no canonical tree has the shape of.
+_NO_GUESS = object()
+_GUESS_SLOT = attrgetter("_guess")
+
+
 def _decode(t: Tree) -> tuple[Ord, str] | None:
     """The (notation, polarity) whose canonical tree t has the shape of.
 
     The root label names gamma and the polarity (a color is gamma 0); then
     a leaf is w^g (0 for a color), and one child bar T_b or a pair
     T_b | bar T_b is b + w^g.  Only the shape is read: the caller confirms
-    the guess by comparing normal forms.
+    the guess by comparing normal forms.  Each node keeps its guess in its
+    _guess slot, so a node builds its notation once in its lifetime: the
+    first call fills the empty slots under t, labels and children first.
+    A node has no guess when its label tree or a child has none, so one
+    node without a guess leaves t none.
     """
-    guess: dict = {}  # a node that has no guess leaves t none, so stop there
-    for u in postorder((t,), True):
-        if isinstance(u.label, int) and u.label <= 1:
-            gamma, polarity = ZERO, (PLAIN, BAR)[u.label]
-        elif not isinstance(u.label, int) and len(u.label) == 1:
-            gamma, polarity = guess[u.label[0]]
-        else:
-            return None
-        if len(u.children) > 2:
-            return None
-        if u.children:
-            guess[u] = add(guess[u.children[0]][0], omega_pow(gamma)), polarity
-        else:
-            guess[u] = ZERO if isinstance(u.label, int) else omega_pow(gamma), polarity
-    return guess[t]
+    if t._guess is None:
+        for u in postorder((t,), True, _GUESS_SLOT):
+            label, kids = u.label, u.children
+            if label.__class__ is int:
+                head = (ZERO, (PLAIN, BAR)[label]) if label <= 1 else _NO_GUESS
+            else:
+                head = label[0]._guess if len(label) == 1 else _NO_GUESS
+            if head is _NO_GUESS or len(kids) > 2 or any(c._guess is _NO_GUESS for c in kids):
+                guess = _NO_GUESS
+            elif kids:
+                guess = add(kids[0]._guess[0], omega_pow(head[0])), head[1]
+            else:
+                guess = ZERO if label.__class__ is int else omega_pow(head[0]), head[1]
+            object.__setattr__(u, "_guess", guess)
+    return None if t._guess is _NO_GUESS else t._guess

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import weakref
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import ForestError
 
@@ -30,15 +31,15 @@ class Tree:
     non-negative int, so every tree prints as a term.  The items of a
     forest label and the children are trees; anything else is refused
     with ForestError, checked only when a node is made.  A node also stores
-    its normal form and its sort key once they are first asked for; both
-    die with the node.
+    its normal form, its sort key and its canonical guess (canonical._decode)
+    once they are first asked for; all three die with the node.
 
     Construction is single-threaded by contract: two threads building
     equal trees at the same moment could get two objects, and identity
     equality would then be wrong.
     """
 
-    __slots__ = ("label", "children", "_norm", "_key", "__weakref__")
+    __slots__ = ("label", "children", "_norm", "_key", "_guess", "__weakref__")
 
     def __new__(cls, label: "Label", children: "Forest" = ()):
         if label.__class__ is not int:
@@ -69,6 +70,7 @@ class Tree:
         set_slot(t, "children", key[1])
         set_slot(t, "_norm", None)
         set_slot(t, "_key", None)
+        set_slot(t, "_guess", None)
         _INTERNED[key] = t
         return t
 
@@ -127,17 +129,18 @@ def paths(f: Forest):
         stack += [(path + (i,), c) for i, c in enumerate(t.children)][::-1]
 
 
-def postorder(f: Forest, labels: bool = False) -> list[Tree]:
+def postorder(f: Forest, labels: bool = False, filled=None) -> list[Tree]:
     """Each distinct node of f once, after its children, and with labels
     after its label's nodes too.  Equal subtrees are one node, so a shared
-    one is walked once."""
+    one is walked once.  A node for which filled(node) is true is left out
+    with everything below it: a slot fold passes its slot's getter."""
     done: dict = {}  # insertion-ordered: the walk's output
     stack = list(as_forest(f))  # an expanded node waits under None and its operands
     while stack:
         t = stack.pop()
         if t is None:
             done[stack.pop()] = None
-        elif t not in done:
+        elif t not in done and not (filled and filled(t)):
             below = t.children
             if labels and t.label.__class__ is not int:
                 below = t.label + below
@@ -286,15 +289,17 @@ def _dedupe(trees: list[Tree]) -> Forest:
 # The _norm slot of a tree that is its own normal form (a self-reference
 # would keep every normal tree alive until the cyclic collector runs).
 _NORMAL = object()
+_NORM_SLOT = attrgetter("_norm")
 
 
 def _normalize_tree(t: Tree) -> Tree:
     """The normal form of one tree, computed once per node: the first call
-    fills the slot of each node under t, labels and children first."""
+    fills the empty slots under t, labels and children first, and walks no
+    subtree whose slot is filled."""
     n = t._norm
     if n is None:
-        for u in postorder((t,), True):
-            if u._norm is not None:
+        for u in postorder((t,), True, _NORM_SLOT):
+            if u._norm is not None:  # an earlier step made u as a normal form
                 continue
             label = normalize_label(u.label)
             kids = normalize(u.children)

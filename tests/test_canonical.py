@@ -1,13 +1,16 @@
 """Canonical 2-labeled trees over ordinal notations."""
 
+import random
 from functools import lru_cache
 
 import pytest
 
+from hforest import oracles
 from hforest.canonical import (
     BAR,
     PLAIN,
     CanonicalName,
+    _decode,
     canonical_size,
     classify_2forest,
     classify_2tree_nested,
@@ -24,13 +27,25 @@ from hforest.forest import (
     h_leq,
     join,
     meet,
+    normalize,
     normalize_label,
+    postorder,
     singleton,
     wrap,
 )
 from hforest.nested import parse_term, s_embed
 from hforest.oracles import ordinal_candidates
-from hforest.ordinal import OMEGA, Ord, add, cmp_ord, ord_of, parse_ordinal, succ
+from hforest.ordinal import (
+    OMEGA,
+    ZERO,
+    Ord,
+    add,
+    cmp_ord,
+    omega_pow,
+    ord_of,
+    parse_ordinal,
+    succ,
+)
 
 
 def test_t_flat_examples():
@@ -190,3 +205,64 @@ def test_representative_flat_is_the_chain():
     assert representative(CanonicalName("Tbar", ord_of(3)), flat=True) == (t_flat(3, BAR),)
     with pytest.raises(ForestError):
         representative(CanonicalName("T", OMEGA), flat=True)
+
+
+def reference_decode(t):
+    """The guess by one value fold over a walk of t, with no slots: it
+    stops at the first node that has no guess."""
+    guess: dict = {}
+    for u in postorder((t,), True):
+        if isinstance(u.label, int) and u.label <= 1:
+            gamma, polarity = ZERO, (PLAIN, BAR)[u.label]
+        elif not isinstance(u.label, int) and len(u.label) == 1:
+            gamma, polarity = guess[u.label[0]]
+        else:
+            return None
+        if len(u.children) > 2:
+            return None
+        if u.children:
+            guess[u] = add(guess[u.children[0]][0], omega_pow(gamma)), polarity
+        else:
+            guess[u] = ZERO if isinstance(u.label, int) else omega_pow(gamma), polarity
+    return guess[t]
+
+
+def _no_guess_cases():
+    """Trees with a node that has no guess under a first child that has one:
+    a second child or a label tree with a color above 1, three children or
+    a two-tree label, at the root and one level down."""
+    good = t_flat(2)
+    bad = [Tree(2), Tree(1, (Tree(0), Tree(0, (Tree(1),)), t_flat(2, BAR))),
+           Tree((Tree(0), Tree(1))), Tree(0, (good, Tree(2)))]
+    out = []
+    for b in bad:
+        out += [Tree(0, (good, b)), Tree(1, (good, b)), Tree((b,)), Tree((b,), (good,)),
+                Tree((Tree(0, (good, b)),), (good,)), Tree(0, (Tree(1, (good, b)),))]
+    return out
+
+
+def _decoded(nodes):
+    return [(str(g[0]), g[1]) if (g := _decode(u)) else None for u in nodes]
+
+
+def test_decode_is_the_reference_fold():
+    corpus = (oracles.nested_forests(5, 2, 2) + oracles.nested_forests(4, 2, 3)
+              + oracles.flat_forests(6, 2))
+    # every tree of the corpora, not only their 39 distinct normal trees
+    roots = {t for f in corpus for t in f + normalize(f)}
+    roots.update(t for a in ordinal_candidates(16)
+                 for p in (PLAIN, BAR) for t in t_nested(a, p))
+    roots.update(_no_guess_cases())
+    roots = sorted(roots, key=repr)
+    nodes = postorder(tuple(roots), True)
+    expected = [(str(g[0]), g[1]) if (g := reference_decode(u)) else None for u in nodes]
+    assert sum(g is None for g in expected) > 2000
+    assert sum(g is not None for g in expected) > 3000
+    shuffled = nodes[:]
+    random.Random(5).shuffle(shuffled)
+    # cold roots first; subtrees and labels first; every node in a random order
+    for order in (roots + nodes, nodes, shuffled):
+        for u in nodes:
+            object.__setattr__(u, "_guess", None)
+        _decoded(order)
+        assert _decoded(nodes) == expected

@@ -576,6 +576,10 @@ def _copies(labels, d):
                  id="classify chain"),
     pytest.param(["classify", "--forest", LAYERS, "--bound", "10000", "--emit", "term"],
                  "T[" + "w^(" * 298 + "w" + ")" * 298 + "]", False, id="classify layers"),
+    # 990 copies of w down a chain, whose labels are two trees: each label
+    # tree's guess is filled once and read by the nodes that share it
+    pytest.param(["classify", "--forest", _copies(("0*1", "1*0"), 990), "--bound", "100000",
+                  "--emit", "term"], "T[w*990]", False, id="classify w*990"),
     pytest.param(["flatten", "--forest", CHAIN], '{"size": 1000, "depth": 1, ', False,
                  id="flatten chain"),
     pytest.param(["flatten", "--forest", LAYERS], '{"size": 2, "depth": 300, ', False,

@@ -115,6 +115,13 @@ def test_the_label_rules_have_one_home():
     assert users == ["forest.py", "oracles.py"]
 
 
+def test_the_guess_slot_has_one_home():
+    # Tree makes the slot empty and canonical._decode alone fills and reads it
+    package = pathlib.Path(hforest.__file__).parent
+    users = sorted(p.name for p in package.glob("*.py") if "_guess" in p.read_text())
+    assert users == ["canonical.py", "forest.py"]
+
+
 def _names(code):
     """The global and attribute names a code object and its nested ones use."""
     names = set(code.co_names)
