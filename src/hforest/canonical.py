@@ -156,18 +156,20 @@ def classify_2tree_nested(f: Forest, size_bound: int) -> CanonicalName | None:
 def _name(f: Forest) -> CanonicalName | None:
     """The name whose canonical forest has the normal form f, or None.
 
-    Normal forms are unique per class, so the first normal tree is decoded
-    by inverting the case split of _t_pair, once in its lifetime (_decode);
+    Normal forms are unique per class, so each normal tree is decoded by
+    inverting the case split of _t_pair, once in its lifetime (_decode);
     one tree is T_a or bar T_a, two are T_a | bar T_a.  A canonical forest
     is its own normal form up to the order of siblings, so a guess of
-    another size cannot match; that test comes first, so the confirmation
-    never builds a forest larger than f.  One comparison of normal forms
-    confirms the guess.
+    another size cannot match; that test comes first, on the sizes the
+    guesses keep, so the confirmation never builds a forest larger than f.
+    One comparison of normal forms confirms the guess.
     """
-    guess = _decode(f[0]) if 1 <= len(f) <= 2 else None
-    if guess is None or len(f) * _t_size(guess[0]) != canonical_size(f):
+    guesses = [_decode(t) for t in f] if 1 <= len(f) <= 2 else [None]
+    if None in guesses:
         return None
-    a, polarity = guess
+    a, polarity, _ = guesses[0]
+    if len(f) * _t_size(a) != sum([g[2] for g in guesses]):
+        return None
     kind = "TjoinTbar" if len(f) == 2 else "T" if polarity == PLAIN else "Tbar"
     name = CanonicalName(kind, a)
     return name if normalize(representative(name)) == f else None
@@ -176,32 +178,38 @@ def _name(f: Forest) -> CanonicalName | None:
 # The _guess slot of a node that no canonical tree has the shape of.
 _NO_GUESS = object()
 _GUESS_SLOT = attrgetter("_guess")
+# The head a color label gives: gamma 0, the polarity, no label nodes.
+_COLOR_HEADS = ((ZERO, PLAIN, 0), (ZERO, BAR, 0))
 
 
-def _decode(t: Tree) -> tuple[Ord, str] | None:
-    """The (notation, polarity) whose canonical tree t has the shape of.
+def _decode(t: Tree) -> tuple[Ord, str, int] | None:
+    """The (notation, polarity) whose canonical tree t has the shape of,
+    and t's canonical_size.
 
     The root label names gamma and the polarity (a color is gamma 0); then
     a leaf is w^g (0 for a color), and one child bar T_b or a pair
     T_b | bar T_b is b + w^g.  Only the shape is read: the caller confirms
     the guess by comparing normal forms.  Each node keeps its guess in its
-    _guess slot, so a node builds its notation once in its lifetime: the
-    first call fills the empty slots under t, labels and children first.
-    A node has no guess when its label tree or a child has none, so one
-    node without a guess leaves t none.
+    _guess slot, so a node builds its notation and counts its nodes once
+    in its lifetime: the first call fills the empty slots under t, labels
+    and children first.  A node has no guess when its label tree or a
+    child has none, so one node without a guess leaves t none.
     """
     if t._guess is None:
         for u in postorder((t,), True, _GUESS_SLOT):
             label, kids = u.label, u.children
             if label.__class__ is int:
-                head = (ZERO, (PLAIN, BAR)[label]) if label <= 1 else _NO_GUESS
+                head = _COLOR_HEADS[label] if label <= 1 else _NO_GUESS
             else:
                 head = label[0]._guess if len(label) == 1 else _NO_GUESS
             if head is _NO_GUESS or len(kids) > 2 or any(c._guess is _NO_GUESS for c in kids):
                 guess = _NO_GUESS
-            elif kids:
-                guess = add(kids[0]._guess[0], omega_pow(head[0])), head[1]
             else:
-                guess = ZERO if label.__class__ is int else omega_pow(head[0]), head[1]
+                gamma, polarity, size = head
+                size += 1 + sum([c._guess[2] for c in kids])
+                if kids:
+                    guess = add(kids[0]._guess[0], omega_pow(gamma)), polarity, size
+                else:
+                    guess = ZERO if label.__class__ is int else omega_pow(gamma), polarity, size
             object.__setattr__(u, "_guess", guess)
     return None if t._guess is _NO_GUESS else t._guess

@@ -8,12 +8,18 @@ in the iterated case, forests one level down.
 F <= G in the h-preorder iff there is a monotone map from F to G whose
 labels satisfy the label order pointwise: colors must coincide, nested
 labels are compared recursively.
+
+Trees are interned, and each node keeps what is computed about it in
+slots of its own: its normal form, sort key and canonical guess, and its
+tree_leq and meet_trees answers against other nodes, keyed by their
+serial ids.  So every memo dies with its node, and the module keeps no
+global cache.
 """
 
 from __future__ import annotations
 
 import weakref
-from functools import lru_cache
+from itertools import count
 from operator import attrgetter
 
 from .errors import ForestError
@@ -32,14 +38,18 @@ class Tree:
     forest label and the children are trees; anything else is refused
     with ForestError, checked only when a node is made.  A node also stores
     its normal form, its sort key and its canonical guess (canonical._decode)
-    once they are first asked for; all three die with the node.
+    once they are first asked for, and its answers to tree_leq and
+    meet_trees against other nodes, keyed by their serial ids (_id, never
+    reused, so a key keeps no node alive and outlives its node harmlessly);
+    all of these die with the node.
 
     Construction is single-threaded by contract: two threads building
     equal trees at the same moment could get two objects, and identity
     equality would then be wrong.
     """
 
-    __slots__ = ("label", "children", "_norm", "_key", "_guess", "__weakref__")
+    __slots__ = ("label", "children", "_id", "_norm", "_key", "_guess", "_leq", "_meet",
+                 "__weakref__")
 
     def __new__(cls, label: "Label", children: "Forest" = ()):
         if label.__class__ is not int:
@@ -68,9 +78,12 @@ class Tree:
         set_slot = object.__setattr__
         set_slot(t, "label", label)
         set_slot(t, "children", key[1])
+        set_slot(t, "_id", next(_SERIALS))
         set_slot(t, "_norm", None)
         set_slot(t, "_key", None)
         set_slot(t, "_guess", None)
+        set_slot(t, "_leq", {})  # read inline by every loop that asks many pairs
+        set_slot(t, "_meet", None)  # made by the first meet_trees call on t
         _INTERNED[key] = t
         return t
 
@@ -90,6 +103,8 @@ class Tree:
 _INTERNED: "weakref.WeakValueDictionary[tuple, Tree]" = weakref.WeakValueDictionary()
 # A hit reads the table's own dict of KeyedRefs: one lookup, one weakref call.
 _REFS = _INTERNED.data
+# The serial id of each node made, in the order they are made.
+_SERIALS = count()
 
 Forest = tuple  # tuple[Tree, ...]
 Label = int | Forest
@@ -218,38 +233,124 @@ def label_leq(a: Label, b: Label) -> bool:
 
 
 def h_leq(f: Forest, g: Forest) -> bool:
-    """True iff a monotone label-respecting map from f into g exists."""
+    """True iff a monotone label-respecting map from f into g exists: every
+    tree of f is below some tree of g.  Each answer is read from its slot;
+    tree_leq is asked only on a miss."""
     f, g = as_forest(f), as_forest(g)
-    return all(any(tree_leq(s, t) for t in g) for s in f)
+    for s in f:
+        leq = s._leq
+        for t in g:
+            below = leq.get(t._id)
+            if below is None:
+                below = tree_leq(s, t)
+            if below:
+                break
+        else:
+            return False
+    return True
 
 
 def h_equiv(f: Forest, g: Forest) -> bool:
     return h_leq(f, g) and h_leq(g, f)
 
 
-@lru_cache(maxsize=None)
 def tree_leq(s: Tree, t: Tree) -> bool:
-    """s <= t for trees: s embeds with its root at some node of t."""
-    if s is t or label_leq(s.label, t.label) and all(tree_leq(c, t) for c in s.children):
-        return True
-    return any(tree_leq(s, c) for c in t.children)
+    """s <= t for trees: s embeds with its root at some node of t.
+
+    That is: s is t; or the labels are in order and every child of s is
+    below t; or s is below some child of t.  Nested labels are in order
+    when every tree of s's lifted label is below one of t's.  The walk
+    keeps one [s, t, stage, i, j, lifted labels] frame per pair whose
+    answer is not yet in its slot, on an explicit stack, so it answers as deep as the parser
+    reads; a frame waits on the first pair it needs, and each answer goes
+    into s._leq under t's id.  Every pair a frame waits on is smaller, so
+    no frame waits on itself.
+    """
+    answer = s._leq.get(t._id)
+    if answer is not None:
+        return answer
+    stack = [[s, t, 0, 0, 0, None]]
+    while stack:
+        frame = stack[-1]
+        s, t, stage, i, j, lifted = frame
+        answer = need = None
+        if stage == 0:  # the labels
+            a, b = s.label, t.label
+            if s is t:
+                answer = True
+            elif a.__class__ is int and b.__class__ is int:
+                stage = 1 if a == b else 2
+            else:
+                # the frame holds the lifted labels: a color's one-point tree
+                # may live nowhere else, and its answers die with it
+                if lifted is None:
+                    lifted = lift(a), lift(b)
+                a, b = lifted
+                while i < len(a):  # a[i] below some tree of b
+                    leq = a[i]._leq
+                    while j < len(b) and (below := leq.get(b[j]._id)) is False:
+                        j += 1
+                    if j == len(b):
+                        stage, i = 2, 0
+                        break
+                    if below is None:
+                        need = a[i], b[j]
+                        break
+                    i, j = i + 1, 0
+                else:
+                    stage, i = 1, 0
+        if stage == 1 and need is None:  # every child of s below t
+            kids, tid = s.children, t._id
+            while i < len(kids):
+                below = kids[i]._leq.get(tid)
+                if below is None:
+                    need = kids[i], t
+                    break
+                if not below:
+                    stage, i = 2, 0
+                    break
+                i += 1
+            else:
+                answer = True
+        if stage == 2 and need is None:  # s below some child of t
+            leq, kids = s._leq, t.children
+            while i < len(kids):
+                below = leq.get(kids[i]._id)
+                if below is None:
+                    need = s, kids[i]
+                    break
+                if below:
+                    answer = True
+                    break
+                i += 1
+            else:
+                answer = False
+        if need is None:
+            stack.pop()
+            s._leq[t._id] = answer
+        else:
+            frame[2:] = stage, i, j, lifted
+            stack.append([*need, 0, 0, 0, None])
+    return answer
 
 
 # ---------------------------------------------------------------------------
 # canonical form
 
+_KEY_SLOT = attrgetter("_key")
+
 
 def sort_key(t: Tree):
-    """Structural sort key, computed once per node."""
-    key = t._key
-    if key is None:
-        if isinstance(t.label, int):
-            lk = (0, t.label)
-        else:
-            lk = (1, tuple(sorted(sort_key(c) for c in t.label)))
-        key = (lk, tuple(sorted(sort_key(c) for c in t.children)))
-        object.__setattr__(t, "_key", key)
-    return key
+    """Structural sort key, computed once per node: the first call fills
+    the empty slots under t, labels and children first."""
+    if t._key is None:
+        for u in postorder((t,), True, _KEY_SLOT):
+            if u.label.__class__ is int:
+                label = (0, u.label)
+            else:
+                label = (1, tuple(sorted([c._key for c in u.label])))
+            object.__setattr__(u, "_key", (label, tuple(sorted([c._key for c in u.children]))))
+    return t._key
 
 
 def normalize_label(label: Label) -> Label:
@@ -279,10 +380,24 @@ def normalize(f: Forest) -> Forest:
 def _dedupe(trees: list[Tree]) -> Forest:
     """The maximal trees among normal trees, each once, sorted.
 
-    Equivalent normal trees are one object, so set() merges each class.
+    Equivalent normal trees are one object, so set() merges each class,
+    and a tree below another one is strictly below it: two different
+    normal trees, each below the other, would be two normal forms of one
+    class.
     """
     reps = set(trees)
-    kept = [s for s in reps if not any(tree_leq(s, t) and not tree_leq(t, s) for t in reps)]
+    kept = []
+    for s in reps:
+        leq = s._leq
+        for t in reps:
+            if t is not s:
+                below = leq.get(t._id)
+                if below is None:
+                    below = tree_leq(s, t)
+                if below:
+                    break
+        else:
+            kept.append(s)
     return tuple(sorted(kept, key=sort_key))
 
 
@@ -335,15 +450,29 @@ def meet(f: Forest, g: Forest) -> Forest:
     return normalize(join(*(meet_trees(s, t) for s in f for t in g)))
 
 
-@lru_cache(maxsize=None)
+# The _meet entry of a tree under the id of a tree above it: the meet is the
+# tree itself, which its own entry must not hold.
+_SELF = object()
+
+
 def meet_trees(s: Tree, t: Tree) -> Forest:
-    if tree_leq(s, t):
-        return (s,)
-    if tree_leq(t, s):
-        return (t,)
-    below = join(_meet_tree_forest(s, t.children), _meet_tree_forest(t, s.children))
-    m = label_meet(s.label, t.label)
-    return normalize((Tree(m, below),) if m is not None else below)
+    """The meet of two trees, kept in s._meet under t's id."""
+    memo = s._meet
+    if memo is None:
+        memo = {}
+        object.__setattr__(s, "_meet", memo)
+    m = memo.get(t._id)
+    if m is None:
+        if tree_leq(s, t):
+            m = (s,)
+        elif tree_leq(t, s):
+            m = (t,)
+        else:
+            below = join(_meet_tree_forest(s, t.children), _meet_tree_forest(t, s.children))
+            label = label_meet(s.label, t.label)
+            m = normalize((Tree(label, below),) if label is not None else below)
+        memo[t._id] = _SELF if m == (s,) else m
+    return (s,) if m is _SELF else m
 
 
 def _meet_tree_forest(s: Tree, g: Forest) -> Forest:

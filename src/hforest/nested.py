@@ -163,12 +163,46 @@ def _flatten(f: Forest, depth: int) -> LabeledNPreorder:
 
 
 def unflatten(x: LabeledNPreorder) -> Forest:
-    """Inverse of flatten: unflatten(flatten(f, d)) == f."""
-    return _unflatten_sub(x, range(x.size), 0)
+    """Inverse of flatten: unflatten(flatten(f, d)) == f.
+
+    Each (level, members) part is a forest: its classes are the trees and
+    each class below the last level labels its tree with the part of its
+    members one level down.  The parts wait on an explicit stack, each
+    under the parts of its labels, which come off in the order of its
+    trees, so no layer takes a Python frame of its own.
+    """
+    forests: dict = {}  # (level, members) -> the forest of that part
+    top = (0, tuple(range(x.size)))
+    stack = [(top, None)]
+    while stack:
+        part, plan = stack.pop()
+        level, members = part
+        if plan is None:
+            plan = _unflatten_plan(x, members, level)
+            stack.append((part, plan))
+            classes, order = plan[:2]
+            if level + 1 < x.depth:  # the labels' parts, to come off in order
+                stack += [((level + 1, tuple(classes[row])), None) for row in reversed(order)]
+            continue
+        classes, order, kids, roots = plan
+        trees: dict[int, Tree] = {}
+        for row in order:
+            cls = classes[row]
+            if level + 1 == x.depth:
+                colors = {x.labels[m] for m in cls}
+                if len(colors) != 1:
+                    raise ForestError(f"layer {level} class has mixed colors")
+                label: Label = colors.pop()
+            else:
+                label = forests[level + 1, tuple(cls)]
+            trees[row] = Tree(label, tuple(trees[c] for c in kids[row]))
+        forests[part] = tuple(trees[row] for row in roots)
+    return forests[top]
 
 
-def _unflatten_sub(x: LabeledNPreorder, members, level: int) -> Forest:
-    """The forest of layer `level` over `members`, ascending.
+def _unflatten_plan(x: LabeledNPreorder, members, level: int) -> tuple:
+    """The classes of layer `level` over `members`, ascending: (row ->
+    members, rows children first, row -> child rows, root rows).
 
     Equivalent members share one up-set row, so each class is one row; a
     class's parent is the class whose row is the class's strict up-set.
@@ -189,18 +223,8 @@ def _unflatten_sub(x: LabeledNPreorder, members, level: int) -> Forest:
         else:
             raise ForestError(f"layer {level} is not a forest")
     # a child's row strictly holds its parent's, so children come first
-    trees: dict[int, Tree] = {}
-    for row in sorted(classes, key=int.bit_count, reverse=True):
-        cls = classes[row]
-        if level + 1 == x.depth:
-            colors = {x.labels[m] for m in cls}
-            if len(colors) != 1:
-                raise ForestError(f"layer {level} class has mixed colors")
-            label: Label = colors.pop()
-        else:
-            label = _unflatten_sub(x, cls, level + 1)
-        trees[row] = Tree(label, tuple(trees[c] for c in kids[row]))
-    return tuple(trees[row] for row in roots)
+    order = sorted(classes, key=int.bit_count, reverse=True)
+    return classes, order, kids, roots
 
 
 def morphism_exists(x: LabeledNPreorder, y: LabeledNPreorder) -> bool:

@@ -242,7 +242,7 @@ def _no_guess_cases():
 
 
 def _decoded(nodes):
-    return [(str(g[0]), g[1]) if (g := _decode(u)) else None for u in nodes]
+    return [(str(g[0]), g[1], g[2]) if (g := _decode(u)) else None for u in nodes]
 
 
 def test_decode_is_the_reference_fold():
@@ -255,7 +255,9 @@ def test_decode_is_the_reference_fold():
     roots.update(_no_guess_cases())
     roots = sorted(roots, key=repr)
     nodes = postorder(tuple(roots), True)
-    expected = [(str(g[0]), g[1]) if (g := reference_decode(u)) else None for u in nodes]
+    # a guess keeps its tree's size, which _name compares with T_a's
+    expected = [(str(g[0]), g[1], canonical_size((u,))) if (g := reference_decode(u)) else None
+                for u in nodes]
     assert sum(g is None for g in expected) > 2000
     assert sum(g is not None for g in expected) > 3000
     shuffled = nodes[:]

@@ -379,6 +379,22 @@ def _cli(*argv, **env):
                             stderr=subprocess.PIPE)
 
 
+@pytest.mark.parametrize("verb, out", [
+    ("compare", '{"h_leq": false, "h_geq": false}'),
+    ("meet", "0*1|2"),
+    ("join", "0*(1|2)|s(0*1)"),
+])
+def test_a_color_label_below_a_nested_one_in_a_fresh_process(verb, out):
+    # no node 0 lives in these forests, so the walk lifts the label 0 to a
+    # one-point tree that it alone keeps alive while it waits on its answer
+    call = _cli(verb, "--lhs", "0*(1|2)", "--rhs", "s(0*1)|2")
+    try:
+        stdout, stderr = (s.decode() for s in call.communicate(timeout=60))
+    finally:
+        call.kill()  # a walk that waits on itself would run on
+    assert (call.returncode, stdout, stderr) == (0, out + "\n", "")
+
+
 def test_report_dot_is_the_same_under_any_hash_seed():
     argv = ["report", "--space", "chain:2", "--forest", "0", "--forest", "1",
             "--forest", "0*1", "--forest", "1*0", "--forest", "0|1",
@@ -549,6 +565,8 @@ def test_deep_input_is_a_domain_error(capsys):
 CHAIN = ("0*1*" * 500)[:-1]
 LAYERS = "s(" * 299 + "0*1" + ")" * 299
 OTHER_CHAIN = CHAIN[:-1] + "0"
+# T_{w+1} and its bar: the labels of the copies of w^(w+1) in T_{w^(w+1)*d}
+W1, BAR_W1 = "0*(s(0*1)|s(1*0))", "1*(s(0*1)|s(1*0))"
 DH_CHECK = ["dh-check", "--space", "chain:2", "--partition", '{"labels": [0, 1]}']
 # The alternating chain 490 trees deep as forest JSON: near the stdlib
 # decoder's own depth limit, two levels (an object and an array) per tree.
@@ -598,17 +616,31 @@ def _copies(labels, d):
     pytest.param(["canonical", "--alpha", "w^w*1000", "--polarity", "bar"],
                  "s(" + _copies(("1*0", "0*1"), 1000) + ")", False,
                  id="canonical w^w*1000 bar"),
+    # printing normalizes T_b | bar T_b, which compares two deep trees
+    pytest.param(["canonical", "--alpha", "w*300", "--polarity", "join"],
+                 _copies(("0*1", "1*0"), 300) + "|" + _copies(("1*0", "0*1"), 300), False,
+                 id="canonical w*300 join"),
+    pytest.param(["canonical", "--alpha", "w*1000", "--polarity", "join"],
+                 _copies(("0*1", "1*0"), 1000) + "|" + _copies(("1*0", "0*1"), 1000), False,
+                 id="canonical w*1000 join"),
+    pytest.param(["canonical", "--alpha", "w^(w+1)*126+3"],
+                 "0*1*0*(" + _copies((W1, BAR_W1), 126) + "|" + _copies((BAR_W1, W1), 126) + ")",
+                 False, id="canonical w^(w+1)*126+3"),
+    pytest.param(["compare", "--lhs", CHAIN, "--rhs", OTHER_CHAIN],
+                 '{"h_leq": false, "h_geq": true}', False, id="compare chains"),
+    # the meet of two comparable trees is the lower one
+    pytest.param(["meet", "--lhs", CHAIN, "--rhs", OTHER_CHAIN], CHAIN[:-2], False,
+                 id="meet chains"),
     pytest.param(["normalize", "--forest", JSON_CHAIN], ("0*1*" * 245)[:-1], False,
                  id="normalize json chain"),
-    # the stdlib JSON encoder and the two-tree walks may stop at the depth guard
+    # the stdlib JSON encoder, and meet_trees on two incomparable trees, may
+    # stop at the depth guard
     pytest.param(["parse", "--forest", CHAIN], '[{"label": 0, "children": ', True,
                  id="parse json chain"),
     pytest.param(["parse", "--forest", LAYERS], '[{"label": [{"label": ', True,
                  id="parse json layers"),
-    pytest.param(["compare", "--lhs", CHAIN, "--rhs", OTHER_CHAIN],
-                 '{"h_leq": false, "h_geq": true}', True, id="compare chains"),
-    pytest.param(["meet", "--lhs", CHAIN, "--rhs", OTHER_CHAIN], "", True,
-                 id="meet chains"),
+    pytest.param(["meet", "--lhs", CHAIN, "--rhs", CHAIN[:-1] + "2"], "", True,
+                 id="meet incomparable chains"),
 ])
 def test_every_forest_verb_answers_as_deep_as_the_parser_reads(argv, out, may_stop):
     call = _cli(*argv)

@@ -6,6 +6,7 @@ import json
 import pickle
 import random
 import weakref
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,7 @@ from hforest.forest import (
     h_leq,
     is_join_irreducible,
     join,
+    lift,
     max_color,
     meet,
     meet_trees,
@@ -32,6 +34,7 @@ from hforest.forest import (
     rank,
     singleton,
     sort_key,
+    tree_leq,
     validate_forest,
     wrap,
 )
@@ -192,6 +195,48 @@ def test_join_is_lub_on_corpus():
             assert common >> iu & 1 and common & ~bounds.above[iu] == 0
 
 
+@lru_cache(maxsize=None)
+def reference_tree_leq(s, t):
+    """The h-preorder on trees by recursion with a cache of its own, as
+    forest.tree_leq decided it before its walk kept answers on the nodes."""
+    if s is t or _reference_label_leq(s.label, t.label) and all(
+            reference_tree_leq(c, t) for c in s.children):
+        return True
+    return any(reference_tree_leq(s, c) for c in t.children)
+
+
+def _reference_label_leq(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return a == b
+    return all(any(reference_tree_leq(x, y) for y in lift(b)) for x in lift(a))
+
+
+def test_tree_leq_is_the_reference_walk():
+    # every pair of the nested corpus's trees, and of the flat corpus's
+    # normal trees, whose raw trees are too many to pair; the slots are
+    # emptied and filled in three orders
+    nested = {t for f in oracles.nested_forests(4, 2, 2) for t in f}
+    flat = {t for f in oracles.normalized_corpus(oracles.flat_forests(6, 3)) for t in f}
+    rng = random.Random(22)
+    try:
+        for trees in (nested, flat):
+            trees = sorted(trees, key=sort_key)
+            pairs = [(s, t) for s in trees for t in trees]
+            expected = [reference_tree_leq(s, t) for s, t in pairs]
+            assert 0 < sum(expected) < len(pairs)
+            shuffled = pairs[:]
+            rng.shuffle(shuffled)
+            for order in (pairs, pairs[::-1], shuffled):
+                for u in postorder(tuple(trees), True):
+                    u._leq.clear()
+                for s, t in order:
+                    tree_leq(s, t)
+                assert [s._leq[t._id] for s, t in pairs] == expected
+                assert [h_leq((s,), (t,)) for s, t in pairs] == expected
+    finally:
+        reference_tree_leq.cache_clear()
+
+
 def test_meet_of_trees_decomposes():
     corpus = oracles.normalized_corpus(oracles.flat_forests(4, 2))
     trees = [f for f in corpus if len(f) == 1]
@@ -318,13 +363,20 @@ def test_unreferenced_tree_leaves_the_intern_table():
     for _ in range(300):  # a chain that no normal form holds
         zeros = Tree(0, (zeros,))
     sort_key(t)  # memoized slots keep nothing else alive
+    assert h_leq((t, zeros), (t, zeros)) and not h_leq((t,), (zeros,))
+    assert meet((t,), (zeros,)) == () and meet((zeros,), (zeros,)) == (Tree(0),)
+    assert meet((t,), (t,)) == (t,)
     assert canonical._decode(t) is None and t._guess is not None
-    assert canonical._decode(zeros) == (ord_of(300), canonical.PLAIN)
+    assert canonical._decode(zeros) == (ord_of(300), canonical.PLAIN, 301)
     refs = weakref.ref(t), weakref.ref(zeros)
     size = len(forest._INTERNED)
     assert forest._INTERNED.get(key()) is t
-    del t, zeros
+    gc.disable()
+    try:  # no slot holds its own node, so no cycle waits for the collector
+        del t, zeros
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
     assert forest._INTERNED.get(key()) is None
     assert len(forest._INTERNED) < size - 250  # other tests may hold a short tail

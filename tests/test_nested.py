@@ -134,8 +134,9 @@ def test_round_trip_on_corpus():
 def test_round_trip_at_the_parse_depth_limit():
     chain = parse_term("0*" * 999 + "1")  # 1,000 nodes, one level
     layers = parse_term("s(" * 299 + "0*1" + ")" * 299)  # 300 levels
-    assert (nesting_level(chain), nesting_level(layers)) == (1, 300)
-    for f in (chain, layers):
+    deepest = parse_term("s(" * 998 + "0*1" + ")" * 998)  # 999 levels
+    assert [nesting_level(f) for f in (chain, layers, deepest)] == [1, 300, 999]
+    for f in (chain, layers, deepest):
         assert unflatten(flatten(f, nesting_level(f))) == f
 
 

@@ -3,6 +3,7 @@
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -115,6 +116,15 @@ def test_the_label_rules_have_one_home():
     assert users == ["forest.py", "oracles.py"]
 
 
+def test_the_memo_slots_have_one_home():
+    # Tree makes the tree_leq and meet_trees slots, and forest alone reads them
+    package = pathlib.Path(hforest.__file__).parent
+    for slot in ("_leq", "_meet"):
+        word = re.compile(rf"\b{slot}\b")
+        users = sorted(p.name for p in package.glob("*.py") if word.search(p.read_text()))
+        assert users == ["forest.py"], slot
+
+
 def test_the_guess_slot_has_one_home():
     # Tree makes the slot empty and canonical._decode alone fills and reads it
     package = pathlib.Path(hforest.__file__).parent
@@ -183,5 +193,6 @@ def test_the_one_tree_folds_do_not_recurse():
 
     for func in (nested._render, forest.forest_to_json, forest._normalize_tree,
                  canonical.swap_colors, canonical._decode, forest.rank,
-                 space._ranked_paths, forest.forest_from_json):
+                 space._ranked_paths, forest.forest_from_json, forest.sort_key,
+                 forest.tree_leq, nested.unflatten):
         assert func.__name__ not in _names(func.__code__), func.__name__
