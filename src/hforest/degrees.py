@@ -29,11 +29,10 @@ def monotone_maps(x: FiniteSpace, y: FiniteSpace):
     point.  The list comes out in the order of itertools.product.
     """
     check_size_guard(max(x.n, y.n), 2)
-    down = [sum(1 << u for u in range(y.n) if y.up[u] >> v & 1) for v in range(y.n)]
     maps = [()]
     for p in range(x.n):
         rows = [(q, y.up) for q in range(p) if x.up[q] >> p & 1]
-        rows += [(q, down) for q in range(p) if x.up[p] >> q & 1]
+        rows += [(q, y.down) for q in range(p) if x.up[p] >> q & 1]
         grown = []
         for f in maps:
             allowed = (1 << y.n) - 1
@@ -46,12 +45,16 @@ def monotone_maps(x: FiniteSpace, y: FiniteSpace):
 
 def wadge_leq(a: KPartition, b: KPartition, space: FiniteSpace,
               target_space: FiniteSpace | None = None) -> bool:
-    """Does a = b o f hold for some monotone f?  Same space unless one is given."""
+    """Does a = b o f hold for some monotone f?  Same space unless one is given.
+
+    A map monotone for <= is monotone for >=, so this asks morphism_exists
+    on the dual orders: points come bottom first, and it assigns last first.
+    """
     target = target_space or space
     if a.n != space.n or b.n != target.n:
         raise SpaceError("partition size does not match its space")
-    return morphism_exists(LabeledNPreorder(space.n, (space.up,), a.labels),
-                           LabeledNPreorder(target.n, (target.up,), b.labels))
+    return morphism_exists(LabeledNPreorder(space.n, (space.down,), a.labels),
+                           LabeledNPreorder(target.n, (target.down,), b.labels))
 
 
 class DegreePoset(Record):

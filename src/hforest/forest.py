@@ -211,14 +211,21 @@ def validate_forest(f: Forest, k: int) -> None:
         raise ForestError(f"color {top} out of range for k={k}")
 
 
+def node_ranks(f: Forest) -> dict:
+    """Each node of f with its rank: the length of its longest chain of
+    children down to a leaf (leaf rank 0)."""
+    ranks: dict = {}
+    for t in postorder(f):
+        ranks[t] = max([1 + ranks[c] for c in t.children], default=0)
+    return ranks
+
+
 def rank(f: Forest) -> int:
     """Length of the longest root chain; undefined on the empty forest."""
     f = as_forest(f)
     if not f:
         raise ForestError("rank of the empty forest is undefined")
-    ranks: dict = {}
-    for t in postorder(f):
-        ranks[t] = max([1 + ranks[c] for c in t.children], default=0)
+    ranks = node_ranks(f)
     return max(ranks[t] for t in f)
 
 

@@ -10,7 +10,8 @@ unrolls a nested forest into a flat structure carrying one preorder per
 level; ``unflatten`` inverts it exactly.  ``morphism_exists`` decides the
 h-preorder on that side by its own search, with no recursion and nothing
 from the h-preorder code, so it serves as the independent authority.
-``parse_term``, ``flatten`` and ``morphism_exists`` keep bounded memos.
+``parse_term`` and ``flatten`` keep bounded memos; ``morphism_exists``
+keeps none, as it reads only the order rows it is given.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from .forest import (
 # last MEMO_TERMS distinct texts of at most MEMO_TERM_LENGTH characters, so a
 # repeated short text is parsed once.  flatten keeps the preorders of its
 # last MEMO_TERMS distinct (forest, depth) pairs whose preorder has at most
-# MEMO_FLAT_ELEMENTS elements, and morphism_exists the search tables of as
-# many preorders of at most that size.
+# MEMO_FLAT_ELEMENTS elements.
 MEMO_TERMS = 1024
 MEMO_TERM_LENGTH = 256
 MEMO_FLAT_ELEMENTS = 64
@@ -230,13 +230,18 @@ def _unflatten_plan(x: LabeledNPreorder, members, level: int) -> tuple:
 def morphism_exists(x: LabeledNPreorder, y: LabeledNPreorder) -> bool:
     """Backtracking search for a label-preserving map monotone at every layer.
 
-    Domains are bitmasks over y.  The elements of x are assigned in order,
-    on an explicit stack of (element, untried images, domains) frames.
-    Assigning a to b narrows the domain of each later element that a
-    constrains by the rows of y at b that a's constraint list names
-    (forward checking), so a dead branch is cut as soon as a domain empties.
+    It reads the up rows of x and y and nothing else.  Domains are bitmasks
+    over y.  The elements of x are assigned from the last to the first, on
+    an explicit stack of (element, untried images, domains) frames; flatten
+    lists parents first, so each element is assigned before those above it.
+    Assigning a to b cuts, at each layer, the domain of every element above
+    a to y's up row at b.  An element already assigned holds only its
+    image's bit, so the same AND checks it: each related pair is checked
+    once, from its lower element, and a dead branch is cut as soon as a
+    domain empties.
     """
-    if x.depth != y.depth:
+    ups, rows = x.orders, y.orders
+    if len(ups) != len(rows):
         raise ForestError("depth mismatch")
     by_color: dict[int, int] = {}  # color -> mask of the elements of y
     for b, color in enumerate(y.labels):
@@ -246,71 +251,37 @@ def morphism_exists(x: LabeledNPreorder, y: LabeledNPreorder) -> bool:
         return False
     if not domains:
         return True
-    constraints = _table(x)[1]
-    columns = _table(y)[0]
-    last = x.size - 1
-    stack = [(0, domains[0], domains)]
+    a = x.size - 1
+    stack = [(a, domains[a], domains)]
     while stack:
         a, dom, doms = stack.pop()
         low = dom & -dom
         if dom != low:
             stack.append((a, dom ^ low, doms))
-        column = columns[low.bit_length() - 1]
+        b = low.bit_length() - 1
+        others = ~(1 << a)
         nxt = doms[:]
-        for c, ids in constraints[a]:
-            allowed = nxt[c]
-            for i in ids:
-                allowed &= column[i]
-            if not allowed:
-                break
-            nxt[c] = allowed
+        nxt[a] = low
+        layer = 0
+        for up in ups:  # x's up rows, layer by layer
+            cut = rows[layer][b]  # y's up row at b in the same layer
+            layer += 1
+            rest = up[a] & others
+            while rest:  # the elements above a, highest first
+                c = rest.bit_length() - 1
+                rest ^= 1 << c
+                allowed = nxt[c] & cut
+                if not allowed:
+                    break
+                nxt[c] = allowed
+            else:
+                continue
+            break  # a domain emptied
         else:
-            if a == last:
+            if not a:
                 return True
-            stack.append((a + 1, nxt[a + 1], nxt))
+            stack.append((a - 1, nxt[a - 1], nxt))
     return False
-
-
-def _table(x: LabeledNPreorder) -> tuple:
-    """x's search table, kept when x has at most MEMO_FLAT_ELEMENTS elements."""
-    table = _tables if x.size <= MEMO_FLAT_ELEMENTS else _tables.__wrapped__
-    return table(x.orders, x.size)
-
-
-@lru_cache(maxsize=MEMO_TERMS)
-def _tables(orders: tuple, size: int) -> tuple:
-    """(columns, constraint lists) of a layered preorder with these up-set rows.
-
-    Its rows are the up rows of every layer, then the down rows: bit c of
-    rows[i][a] means a <=_i c, and of rows[depth + i][a] means c <=_i a;
-    columns[b][i] is rows[i][b].  constraints[a] lists in ascending order
-    each later element c that a constrains, with the indexes i of the rows
-    of a that hold c.  When a maps to b, c's image lies in rows[i][b] of
-    the target for each of them.
-    """
-    down = [[0] * size for _ in orders]
-    for dn, up in zip(down, orders):
-        for a, row in enumerate(up):
-            while row:
-                low = row & -row
-                row ^= low
-                dn[low.bit_length() - 1] |= 1 << a
-    rows = orders + tuple(map(tuple, down))
-    shared: dict = {}  # one tuple per distinct run of row indexes
-    constraints = []
-    for a in range(size):
-        holding: dict[int, tuple] = {}  # c -> the indexes of the rows holding c
-        for i, rel in enumerate(rows):
-            row = rel[a] >> a + 1
-            while row:
-                low = row & -row
-                row ^= low
-                c = a + low.bit_length()
-                holding[c] = holding.get(c, ()) + (i,)
-        constraints.append(tuple((c, shared.setdefault(ids, ids))
-                                 for c, ids in sorted(holding.items())))
-    columns = tuple(tuple(rel[b] for rel in rows) for b in range(size))
-    return columns, tuple(constraints)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .forest import (
     as_forest,
     h_leq,
     lift,
+    node_ranks,
     normalize,
     paths,
     postorder,
@@ -42,7 +43,8 @@ MAX_BASE_SETS = 1 << 12
 class FiniteSpace(Record):
     """Finite poset; up[i] is the bitmask of points j with i <= j."""
 
-    __slots__ = _fields = ("n", "up")
+    _fields = ("n", "up")
+    __slots__ = _fields + ("_down",)
 
     def __init__(self, n: int, up: tuple):
         if len(up) != n:
@@ -100,6 +102,22 @@ class FiniteSpace(Record):
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] & (1 << j))
+
+    @property
+    def down(self) -> tuple:
+        """down[j] is the bitmask of points i with i <= j, the dual order's
+        rows: made on first use and kept in a slot that is not a field."""
+        try:
+            return self._down
+        except AttributeError:
+            down = [0] * self.n
+            for i, row in enumerate(self.up):
+                while row:  # each j above i gets i, highest first
+                    j = row.bit_length() - 1
+                    row ^= 1 << j
+                    down[j] |= 1 << i
+            set_field(self, "_down", tuple(down))
+            return self._down
 
     @property
     def full(self) -> int:
@@ -518,9 +536,7 @@ def dh_witness_family(a: KPartition, forest: Forest, base: Base,
 
 def _ranked_paths(forest: Forest):
     """Paths of a flat forest with their ranks (leaf rank 0)."""
-    ranks: dict = {}
-    for t in postorder(forest):
-        ranks[t] = max([1 + ranks[c] for c in t.children], default=0)
+    ranks = node_ranks(forest)
     return [(path, t, ranks[t]) for path, t in paths(forest)]
 
 

@@ -11,6 +11,7 @@ from hforest.canonical import (
     PLAIN,
     CanonicalName,
     _decode,
+    _t_size,
     canonical_size,
     classify_2forest,
     classify_2tree_nested,
@@ -115,6 +116,16 @@ def test_t_nested_is_the_reference_tree(notations):
         assert representative(CanonicalName("T", a)) == plain
         assert representative(CanonicalName("Tbar", a)) == bar
         assert representative(CanonicalName("TjoinTbar", a)) == plain + bar
+
+
+def test_the_closed_form_size_is_the_node_count():
+    # A5's "named at its size, not below" check, the bounds of
+    # ordinal_candidates and _name all take _t_size for the size of T_a
+    notations = [*ordinal_candidates(16),
+                 *map(parse_ordinal, ("w*200", "w^w*3+w^3*2+1"))]
+    for a in notations:
+        for polarity in (PLAIN, BAR):
+            assert _t_size(a) == canonical_size(t_nested(a, polarity)), (str(a), polarity)
 
 
 def test_t_nested_finite_agrees_with_flat():

@@ -379,6 +379,18 @@ def _cli(*argv, **env):
                             stderr=subprocess.PIPE)
 
 
+def _outputs(call, timeout=60):
+    """The child's (stdout, stderr) as text.  A child still running at the
+    timeout is killed and reaped before TimeoutExpired fails the test."""
+    try:
+        out, err = call.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        call.kill()
+        call.communicate()
+        raise
+    return out.decode(), err.decode()
+
+
 @pytest.mark.parametrize("verb, out", [
     ("compare", '{"h_leq": false, "h_geq": false}'),
     ("meet", "0*1|2"),
@@ -388,10 +400,7 @@ def test_a_color_label_below_a_nested_one_in_a_fresh_process(verb, out):
     # no node 0 lives in these forests, so the walk lifts the label 0 to a
     # one-point tree that it alone keeps alive while it waits on its answer
     call = _cli(verb, "--lhs", "0*(1|2)", "--rhs", "s(0*1)|2")
-    try:
-        stdout, stderr = (s.decode() for s in call.communicate(timeout=60))
-    finally:
-        call.kill()  # a walk that waits on itself would run on
+    stdout, stderr = _outputs(call)  # a walk that waits on itself is killed
     assert (call.returncode, stdout, stderr) == (0, out + "\n", "")
 
 
@@ -401,8 +410,8 @@ def test_report_dot_is_the_same_under_any_hash_seed():
             "--emit", "dot"]
     outputs = set()
     for seed in ("1", "2"):
-        out, err = _cli(*argv, PYTHONHASHSEED=seed).communicate(timeout=60)
-        assert err == b"" and out.count(b"->") >= 2
+        out, err = _outputs(_cli(*argv, PYTHONHASHSEED=seed))
+        assert err == "" and out.count("->") >= 2
         outputs.add(out)
     assert len(outputs) == 1
 
@@ -644,7 +653,7 @@ def _copies(labels, d):
 ])
 def test_every_forest_verb_answers_as_deep_as_the_parser_reads(argv, out, may_stop):
     call = _cli(*argv)
-    stdout, stderr = (s.decode() for s in call.communicate(timeout=60))
+    stdout, stderr = _outputs(call)
     if may_stop and call.returncode:  # the one-line error, never a traceback
         assert (call.returncode, stdout) == (1, "")
         assert stderr == "domain error: input nested too deeply\n"

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -200,7 +201,14 @@ def test_morphism_matches_reference():
 def test_the_search_answers_at_the_parse_depth_limit():
     chain = parse_term("0*" * 999 + "1")  # 1,000 nodes, one level
     x = flatten(chain, 1)
-    assert morphism_exists(x, x)
+    # the search reads the order rows and builds nothing quadratic in them
+    tracemalloc.start()
+    try:
+        assert morphism_exists(x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
     assert oracles.oracle_h_leq(chain, chain)
 
 
@@ -271,16 +279,14 @@ def test_flatten_memo():
                 flatten(deep, depth)
         assert nested._FLATS == before
     # a preorder of more than MEMO_FLAT_ELEMENTS elements is built afresh and
-    # not kept, nor is its search table
+    # not kept
     big = parse_term("0*" * 147 + "987654")  # too long for the parse memo
     before = dict(nested._FLATS)
-    tables = nested._tables.cache_info()
     x = flatten(big, 1)
     assert x.size == 148 > MEMO_FLAT_ELEMENTS
     assert flatten(big, 1) is not x and flatten(big, 1) == x
     assert morphism_exists(x, x)
     assert nested._FLATS == before
-    assert nested._tables.cache_info() == tables
     ref = weakref.ref(big[0])
     del big, x
     gc.collect()

@@ -149,10 +149,9 @@ def test_the_authority_stays_off_the_fast_path():
     fast = {"h_leq", "tree_leq", "h_equiv", "label_leq", "meet", "meet_trees",
             "normalize"}
     for func in (oracles.oracle_h_leq, nested.flatten, nested._flatten,
-                 nested.morphism_exists, nested._table, nested._tables.__wrapped__):
+                 nested.morphism_exists):
         assert not _names(func.__code__) & fast, func.__name__
     assert "_flatten" in _names(nested.flatten.__code__)
-    assert "_table" in _names(nested.morphism_exists.__code__)
 
 
 def test_the_degree_authority_stays_off_the_fast_path():
@@ -192,7 +191,7 @@ def test_the_one_tree_folds_do_not_recurse():
     from hforest import canonical, forest, nested, space
 
     for func in (nested._render, forest.forest_to_json, forest._normalize_tree,
-                 canonical.swap_colors, canonical._decode, forest.rank,
-                 space._ranked_paths, forest.forest_from_json, forest.sort_key,
-                 forest.tree_leq, nested.unflatten):
+                 canonical.swap_colors, canonical._decode, forest.node_ranks,
+                 forest.rank, space._ranked_paths, forest.forest_from_json,
+                 forest.sort_key, forest.tree_leq, nested.unflatten):
         assert func.__name__ not in _names(func.__code__), func.__name__

@@ -69,6 +69,13 @@ def test_finite_space():
     check_record(a, equal, FiniteSpace(2, (1, 3)), (2, (3, 2)),
                  "FiniteSpace(n=2, up=(3, 2))")
     check_frozen(a, equal, (2, (3, 2)), "n up")
+    # the dual order's rows are made on first use and kept outside the
+    # fields, so a record that has them is still the same record
+    assert a.down == (1, 3) and a.down is a.down
+    assert FiniteSpace.from_pairs(3, [(0, 2), (1, 2)]).down == (1, 2, 7)
+    check_record(a, equal, FiniteSpace(2, (1, 3)), (2, (3, 2)),
+                 "FiniteSpace(n=2, up=(3, 2))")
+    check_frozen(a, equal, (2, (3, 2)), "n up")
     with pytest.raises(SpaceError, match="order must be reflexive"):
         FiniteSpace(2, (0, 2))
     with pytest.raises(SpaceError, match="points 0 and 1 violate antisymmetry"):
