@@ -302,10 +302,9 @@ def cmd_report(args):
     else:
         bases = load_base(args.base, space)
     forests = [load_forest(v) for v in args.forest]
-    k = args.k if args.k is not None else 2
     for f in forests:
-        validate_forest(f, k)
-    report = hierarchy_report(space, bases, forests, k)
+        validate_forest(f, args.k)
+    report = hierarchy_report(space, bases, forests, args.k)
     return report_to_dot(report) if args.emit == "dot" else report
 
 
@@ -385,7 +384,7 @@ VERBS = {
     "fh-check": (cmd_fh_check, "forest space omega-base partition k"),
     "reduce-check": (cmd_reduce_check, "forest? space base partition? k"),
     "degrees": (cmd_degrees, "space emit=json|dot k=2"),
-    "report": (cmd_report, "forests space base omega-base? k emit=json|dot"),
+    "report": (cmd_report, "forests space base omega-base? k=2 emit=json|dot"),
     "selftest": (cmd_selftest, "scope"),
 }
 

@@ -13,7 +13,8 @@ Trees are interned, and each node keeps what is computed about it in
 slots of its own: its normal form, sort key and canonical guess, and its
 tree_leq and meet_trees answers against other nodes, keyed by their
 serial ids.  So every memo dies with its node, and the module keeps no
-global cache.
+global cache; an answer about a node that has died is dropped by the
+next sweep of its table (_sweep).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class Tree:
     its normal form, its sort key and its canonical guess (canonical._decode)
     once they are first asked for, and its answers to tree_leq and
     meet_trees against other nodes, keyed by their serial ids (_id, never
-    reused, so a key keeps no node alive and outlives its node harmlessly);
-    all of these die with the node.
+    reused, so a key keeps no node alive and outlives its node only until
+    the sweep); all of these die with the node.
 
     Construction is single-threaded by contract: two threads building
     equal trees at the same moment could get two objects, and identity
@@ -105,6 +106,17 @@ _INTERNED: "weakref.WeakValueDictionary[tuple, Tree]" = weakref.WeakValueDiction
 _REFS = _INTERNED.data
 # The serial id of each node made, in the order they are made.
 _SERIALS = count()
+
+
+def _sweep(memo: dict) -> None:
+    """Drop from a node's tree_leq or meet_trees table every answer about a
+    node that has died.  A table is swept once it holds more than twice as
+    many answers as there are live nodes, and keeps at most one answer per
+    live node, so a sweep follows at least as many inserts as it costs."""
+    live = {t._id for ref in list(_REFS.values()) if (t := ref()) is not None}
+    for key in [key for key in memo if key not in live]:
+        del memo[key]
+
 
 Forest = tuple  # tuple[Tree, ...]
 Label = int | Forest
@@ -334,7 +346,10 @@ def tree_leq(s: Tree, t: Tree) -> bool:
                 answer = False
         if need is None:
             stack.pop()
-            s._leq[t._id] = answer
+            memo = s._leq
+            memo[t._id] = answer
+            if len(memo) > 2 * len(_REFS):
+                _sweep(memo)
         else:
             frame[2:] = stage, i, j, lifted
             stack.append([*need, 0, 0, 0, None])
@@ -479,6 +494,8 @@ def meet_trees(s: Tree, t: Tree) -> Forest:
             label = label_meet(s.label, t.label)
             m = normalize((Tree(label, below),) if label is not None else below)
         memo[t._id] = _SELF if m == (s,) else m
+        if len(memo) > 2 * len(_REFS):
+            _sweep(memo)
     return (s,) if m is _SELF else m
 
 

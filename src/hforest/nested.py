@@ -29,6 +29,7 @@ from .forest import (
     as_forest,
     join,
     lift,
+    max_color,
     normalize,
     normalize_label,
     paths,
@@ -308,18 +309,17 @@ def parse_term(text: str, k: int | None = None) -> Forest:
     forest.  With k, a color at or above k is refused.
     """
     parse = _parse if len(text) <= MEMO_TERM_LENGTH else _parse.__wrapped__
-    result, top = parse(text)
-    if k is not None and top >= k:
+    result = parse(text)
+    if k is not None and max_color(result) >= k:  # every color read labels a node
         raise TermSyntaxError(f"color out of range for k={k}", 0)
     return result
 
 
 @lru_cache(maxsize=MEMO_TERMS)
-def _parse(text: str) -> tuple:
-    """(forest, largest color literal or -1) of a term; errors are raised."""
+def _parse(text: str) -> Forest:
+    """The forest of a term; errors are raised."""
     n = len(text)
     pos = 0
-    top = -1  # the largest color read so far
     frames = []  # (items, stars, is_s) of each enclosing '(' or 's('
     items = []  # finished trees of the innermost open forest
     stars = []  # left operands of the pending '*' in the current item
@@ -342,8 +342,6 @@ def _parse(text: str) -> tuple:
                         color = int(text[start:pos])
                     except ValueError:  # longer than int() converts
                         raise TermSyntaxError("number too long", start) from None
-                if color > top:
-                    top = color
                 atom = (Tree(color),)
             elif c == "⊥" or text.startswith("bot", pos):
                 pos += 1 if c == "⊥" else 3
@@ -394,7 +392,7 @@ def _parse(text: str) -> tuple:
                     if not atom:
                         raise TermSyntaxError(_EMPTY_LABEL, pos)
                     atom = (Tree(atom),)
-    return tuple(items), top
+    return tuple(items)
 
 
 def print_term(f: Forest) -> str:

