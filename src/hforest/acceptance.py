@@ -8,6 +8,7 @@ corpus sizes; the smaller `fast` presets serve the quick selftest.
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations, product
 
 from . import canonical, degrees, forest, nested, oracles, space
@@ -480,14 +481,32 @@ FAST_PRESETS = {
     "A10": dict(samples=200),
 }
 
+# wall-clock seconds each suite may take at its full size: only ever tightened
+BUDGETS = {
+    "A1": 60,
+    "A2": 60,
+    "A3": 60,
+    "A4": 120,
+    "A5": 300,
+    "A6": 120,
+    "A7": 120,
+    "A8": 300,
+    "A9": 5,
+    "A10": 10,
+}
+
 FAST_SUITES = ("A1", "A2", "A3", "A4")
 
 
 def run_suites(scope: str = "full"):
-    """Run the suites; the fast scope shrinks corpora and keeps A1-A4 only."""
+    """Run the suites; the fast scope shrinks corpora and keeps A1-A4 only.
+
+    Each result is (ok, detail, seconds)."""
     names = FAST_SUITES if scope == "fast" else tuple(SUITES)
     results = {}
     for name in names:
         kwargs = FAST_PRESETS[name] if scope == "fast" else {}
-        results[name] = SUITES[name](**kwargs)
+        start = time.monotonic()
+        ok, detail = SUITES[name](**kwargs)
+        results[name] = ok, detail, time.monotonic() - start
     return results

@@ -314,11 +314,12 @@ def cmd_selftest(args) -> str:
     from . import acceptance
 
     results = acceptance.run_suites(args.scope)
-    doc = {name: {"ok": ok, "detail": detail}
-           for name, (ok, detail) in results.items()}
+    doc = {name: {"ok": ok, "detail": detail, "seconds": round(seconds, 3),
+                  "budget_s": acceptance.BUDGETS[name]}
+           for name, (ok, detail, seconds) in results.items()}
     text = json.dumps(doc, indent=2)
-    if not all(ok for ok, _ in results.values()):
-        failed = sorted(name for name, (ok, _) in results.items() if not ok)
+    failed = sorted(name for name, entry in doc.items() if not entry["ok"])
+    if failed:
         raise _SelftestFailure(text, failed)
     return text
 

@@ -432,14 +432,15 @@ _NORM_SLOT = attrgetter("_norm")
 def _normalize_tree(t: Tree) -> Tree:
     """The normal form of one tree, computed once per node: the first call
     fills the empty slots under t, labels and children first, and walks no
-    subtree whose slot is filled."""
+    subtree whose slot is filled.  A node reads its children's normal forms
+    from their slots, so rule (a) is followed by its one _dedupe."""
     n = t._norm
     if n is None:
         for u in postorder((t,), True, _NORM_SLOT):
             if u._norm is not None:  # an earlier step made u as a normal form
                 continue
             label = normalize_label(u.label)
-            kids = normalize(u.children)
+            kids = [c if c._norm is _NORMAL else c._norm for c in u.children]
             while any(label_leq(c.label, label) for c in kids):  # rule (a)
                 kids = [g for c in kids
                         for g in (c.children if label_leq(c.label, label) else (c,))]

@@ -244,8 +244,12 @@ def base_to_json(base: Base) -> list:
 
 
 def _mask_of(points, n_points: int) -> int:
+    if not isinstance(points, list):
+        raise SpaceError("base JSON must be a list of point lists")
     mask = 0
     for p in points:
+        if p.__class__ is not int:
+            raise SpaceError("base points must be point numbers")
         if not 0 <= p < n_points:
             raise SpaceError(f"point {p} out of range")
         mask |= 1 << p
@@ -271,7 +275,7 @@ class KPartition(Record):
     __slots__ = _fields = ("labels", "k")
 
     def __init__(self, labels: tuple, k: int):
-        if labels and not (0 <= min(labels) and max(labels) < k):
+        if not all(c.__class__ is int and 0 <= c < k for c in labels):
             raise SpaceError("partition label out of range")
         set_field(self, "labels", labels)
         set_field(self, "k", k)
@@ -425,9 +429,9 @@ def family_defines(fam: PFamily, space: FiniteSpace):
 # that union is a base set, and it holds below.  By induction on the
 # forest any other family's union at a node lies inside this greatest
 # family's, so the target is reachable exactly when the greatest family
-# covers it.  An inner node's label must cover its new part exactly, which
-# is not monotone in the node's set, so inner levels sweep every union
-# each tree can reach.
+# covers it: _greatest.  An inner node's label must cover its new part
+# exactly, which is not monotone in the node's set, so _feasible sweeps
+# every union each tree can reach at the inner levels, above that pass.
 
 
 def _classes(a: KPartition) -> dict:
@@ -471,43 +475,40 @@ def _joins(families) -> set:
     return out
 
 
+def _feasible(f: Forest, level: int, target: int, omega_base, depth: int,
+              classes: dict, memo: dict) -> bool:
+    """Can f's sets at this level of the omega-base have exactly target as
+    their union?  The deepest level is one greedy pass; above it, each
+    tree's reachable unions are swept, memoized by (f, level, target)."""
+    if level + 1 == depth:
+        return _greatest(f, target, classes, omega_base[level])[1] == target
+    key = (f, level, target)
+    if key not in memo:
+        reach: dict = {}  # tree -> every union its subtree's sets can have
+        for t in postorder(f):
+            label = lift(t.label)
+            reach[t] = out = set()
+            for below in _joins(map(reach.__getitem__, t.children)):
+                for b in omega_base[level]:
+                    u = b | below
+                    if not (b & ~target or u in out) and _feasible(
+                            label, level + 1, b & ~below, omega_base, depth,
+                            classes, memo):
+                        out.add(u)
+        memo[key] = target in _joins(map(reach.__getitem__, f))
+    return memo[key]
+
+
 def fh_membership(a: KPartition, forest: Forest, omega_base,
                   space: FiniteSpace) -> bool:
-    """Is the partition definable by a family over the omega-base?"""
+    """Is the partition definable by a family over the omega-base?  One
+    entry for every depth: a flat forest is one greedy pass."""
     forest = as_forest(forest)
     depth = max(1, nesting_level(forest))
     if depth > len(omega_base):
         raise SpaceError(
             f"nesting level {depth} exceeds the {len(omega_base)}-level base")
-    classes = _classes(a)
-    base = omega_base[depth - 1]
-    if depth == 1:
-        # feasible's own answer at the deepest level, before its closure and
-        # memo are built: hierarchy_report asks once per partition and
-        # forest, and building them cost its flat reports 25-35% more time
-        return _greatest(forest, space.full, classes, base)[1] == space.full
-    memo: dict = {}
-
-    def feasible(f: Forest, level: int, target: int) -> bool:
-        """Can f's sets at this level have exactly target as their union?"""
-        if level + 1 == depth:
-            return _greatest(f, target, classes, base)[1] == target
-        key = (f, level, target)
-        if key not in memo:
-            within = [b for b in omega_base[level] if not b & ~target]
-            reach: dict = {}  # tree -> every union its subtree's sets can have
-            for t in postorder(f):
-                label = lift(t.label)
-                reach[t] = out = set()
-                for below in _joins(reach[c] for c in t.children):
-                    for b in within:
-                        u = b | below
-                        if u not in out and feasible(label, level + 1, b & ~below):
-                            out.add(u)
-            memo[key] = target in _joins(reach[t] for t in f)
-        return memo[key]
-
-    return feasible(forest, 0, space.full)
+    return _feasible(forest, 0, space.full, omega_base, depth, _classes(a), {})
 
 
 def dh_membership(a: KPartition, forest: Forest, base: Base,
@@ -637,10 +638,9 @@ def reduce_family(fam: PFamily, base: Base, space: FiniteSpace) -> PFamily:
         if key in sets:
             for p in group:
                 sets[p] &= sets[key]
-        while overlap := next(((p, q) for p, q in combinations(group, 2)
-                               if sets[p] & sets[q]), None):
-            p, q = overlap
-            sets[p], sets[q] = reduce_pair(sets[p], sets[q], base)
+        for p, q in combinations(group, 2):  # a reduced pair only shrinks
+            if sets[p] & sets[q]:
+                sets[p], sets[q] = reduce_pair(sets[p], sets[q], base)
     return PFamily(fam.forest, 1, sets)
 
 

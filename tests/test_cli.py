@@ -279,6 +279,17 @@ def test_partition_labels_must_be_colors(capsys, labels):
     assert err == "domain error: partition labels must be a list of colors\n"
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--base", '[["a"]]'), ("--base", "[[1.5]]"), ("--base", "[[true]]"),
+    ("--base", "[3]"), ("--omega-base", '[[["a"]]]'), ("--omega-base", "[[3]]")])
+def test_base_points_must_be_point_numbers(capsys, option, value):
+    verb = "dh-check" if option == "--base" else "fh-check"
+    code, out, err = run(capsys, verb, "--space", "chain:2", option, value,
+                         "--partition", '{"labels": [0, 1]}', "--forest", "0*1")
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:") and err.count("\n") == 1
+
+
 def test_fh_check(capsys):
     levels = json.dumps([
         [[], [1], [0, 1]],
@@ -692,6 +703,9 @@ def test_selftest_fast(capsys):
     data = json.loads(out)
     assert set(data) == {"A1", "A2", "A3", "A4"}
     assert all(entry["ok"] for entry in data.values())
+    for name, entry in data.items():
+        assert entry["budget_s"] == hforest.acceptance.BUDGETS[name]
+        assert 0 <= entry["seconds"] < entry["budget_s"]
 
 
 def test_selftest_reports_failure(capsys, monkeypatch):

@@ -60,9 +60,10 @@ json_forests = st.lists(json_trees, max_size=3).map(json.dumps)
 forest_args = st.one_of(terms, json_forests, st.text(max_size=30),
                         st.text(max_size=10).map("-{}".format))
 
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False) | st.text(max_size=5))
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
-    | st.text(max_size=5),
+    json_scalars,
     lambda inner: st.lists(inner, max_size=5)
     | st.dictionaries(st.text(max_size=5), inner, max_size=3),
     max_leaves=10,
@@ -192,13 +193,22 @@ spaces = st.one_of(
                                           max_size=4)}).map(json.dumps),
     st.text(max_size=10),
 )
-point_sets = st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=5)
+# a point set may hold a point that is no point number, or be no list
+point_sets = st.lists(
+    st.lists(st.integers(-1, 4) | json_scalars, max_size=4) | json_scalars,
+    max_size=5)
 bases = st.sampled_from(("upsets", "powerset")) | point_sets.map(json.dumps) \
     | st.text(max_size=10)
 colors = st.none() | st.integers(-1, 4)
 
 
 @FUZZ
+@example(space="chain:2", base='[["a"]]', partition={"labels": [0, 1]},
+         forest="0*1", k=None, split=False)
+@example(space="chain:2", base="[[1.5]]", partition={"labels": [0, 1]},
+         forest="0*1", k=None, split=False)
+@example(space="chain:2", base="[3]", partition={"labels": [0, 1]},
+         forest="0*1", k=None, split=False)
 @given(space=spaces, base=bases, partition=partitions, forest=forest_args,
        k=colors, split=st.booleans())
 def test_dh_check(space, base, partition, forest, k, split):
@@ -212,6 +222,10 @@ def test_dh_check(space, base, partition, forest, k, split):
 
 
 @FUZZ
+@example(space="chain:2", levels='[[["a"]]]', partition={"labels": [0, 1]},
+         forest="0*1", k=None, split=False)
+@example(space="chain:2", levels="[[1]]", partition={"labels": [0, 1]},
+         forest="0*1", k=None, split=False)
 @given(space=spaces,
        levels=st.lists(point_sets, max_size=3).map(json.dumps)
        | json_values.map(json.dumps) | st.text(max_size=10),

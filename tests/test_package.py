@@ -202,3 +202,22 @@ def test_the_one_tree_folds_do_not_recurse():
                  forest.rank, space._ranked_paths, forest.forest_from_json,
                  forest.sort_key, forest.tree_leq, nested.unflatten):
         assert func.__name__ not in _names(func.__code__), func.__name__
+
+
+def test_membership_has_one_entry_and_no_closure():
+    # fh_membership calls _feasible alone, whose first line is the greedy
+    # pass at the deepest level: no depth fork, and no function built per call
+    from hforest import space
+
+    for func in (space.fh_membership, space._feasible):
+        assert not any(hasattr(c, "co_code") for c in func.__code__.co_consts), \
+            func.__name__
+    names = _names(space.fh_membership.__code__)
+    assert "_feasible" in names and "_greatest" not in names
+
+
+def test_each_normal_form_node_is_deduped_once():
+    # the children's normal forms are read from their slots, not renormalized
+    from hforest import forest
+
+    assert "normalize" not in _names(forest._normalize_tree.__code__)

@@ -315,6 +315,14 @@ def test_partitions():
     assert KPartition.from_json(a.to_json(), 2) == a
 
 
+@pytest.mark.parametrize("labels, k", [
+    ((0.5, 1), 3), ((1, float("nan")), 3), ((float("nan"), 1), 3),
+    ((True, 0), 2), ((1, "a"), 3), ((1.0, 0), 2)])
+def test_partition_labels_are_ints(labels, k):
+    with pytest.raises(SpaceError, match="partition label out of range"):
+        KPartition(labels, k)
+
+
 def test_family_defines_examples():
     chain = chain_space(2)
     forest = (t_flat(1, PLAIN),)
