@@ -481,18 +481,21 @@ FAST_PRESETS = {
     "A10": dict(samples=200),
 }
 
-# wall-clock seconds each suite may take at its full size: only ever tightened
+# wall-clock seconds each suite may take at its full size: only ever tightened.
+# Each is the least multiple of 5 s at least 5x the slowest of three runs of
+# the suite alone in a fresh process (2-CPU host, CPython 3.11.7); A6 stays
+# at 120, as that rule would raise it.
 BUDGETS = {
-    "A1": 60,
-    "A2": 60,
-    "A3": 60,
-    "A4": 120,
-    "A5": 300,
+    "A1": 40,
+    "A2": 40,
+    "A3": 5,
+    "A4": 5,
+    "A5": 25,
     "A6": 120,
-    "A7": 120,
-    "A8": 300,
+    "A7": 5,
+    "A8": 10,
     "A9": 5,
-    "A10": 10,
+    "A10": 5,
 }
 
 FAST_SUITES = ("A1", "A2", "A3", "A4")
@@ -501,12 +504,25 @@ FAST_SUITES = ("A1", "A2", "A3", "A4")
 def run_suites(scope: str = "full"):
     """Run the suites; the fast scope shrinks corpora and keeps A1-A4 only.
 
-    Each result is (ok, detail, seconds)."""
+    Each result is (ok, detail, seconds, memo), where memo is memo_sizes()
+    read as the suite ends."""
     names = FAST_SUITES if scope == "fast" else tuple(SUITES)
     results = {}
     for name in names:
         kwargs = FAST_PRESETS[name] if scope == "fast" else {}
         start = time.monotonic()
         ok, detail = SUITES[name](**kwargs)
-        results[name] = ok, detail, time.monotonic() - start
+        results[name] = ok, detail, time.monotonic() - start, memo_sizes()
     return results
+
+
+def memo_sizes() -> dict:
+    """How big the package's memos have grown, as entries per table: the
+    intern table, flatten's memo and each lru_cache.  The memos live as long
+    as the process, so a later suite's sizes include an earlier one's."""
+    sizes = {"forest._INTERNED": len(forest._INTERNED), "nested._FLATS": len(nested._FLATS)}
+    for func in (nested._parse, canonical._t_pair, canonical._t_size,
+                 oracles.ordinal_candidates, oracles.nested_trees, oracles.nested_forests_exact):
+        module = func.__module__.rpartition(".")[2]
+        sizes[f"{module}.{func.__name__}"] = func.cache_info().currsize
+    return sizes

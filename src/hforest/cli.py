@@ -315,8 +315,8 @@ def cmd_selftest(args) -> str:
 
     results = acceptance.run_suites(args.scope)
     doc = {name: {"ok": ok, "detail": detail, "seconds": round(seconds, 3),
-                  "budget_s": acceptance.BUDGETS[name]}
-           for name, (ok, detail, seconds) in results.items()}
+                  "budget_s": acceptance.BUDGETS[name], "memo": memo}
+           for name, (ok, detail, seconds, memo) in results.items()}
     text = json.dumps(doc, indent=2)
     failed = sorted(name for name, entry in doc.items() if not entry["ok"])
     if failed:

@@ -10,11 +10,11 @@ labels satisfy the label order pointwise: colors must coincide, nested
 labels are compared recursively.
 
 Trees are interned, and each node keeps what is computed about it in
-slots of its own: its normal form, sort key and canonical guess, and its
-tree_leq and meet_trees answers against other nodes, keyed by their
-serial ids.  So every memo dies with its node, and the module keeps no
-global cache; an answer about a node that has died is dropped by the
-next sweep of its table (_sweep).
+slots of its own: its normal form, sort key, canonical guess and printed
+term, and its tree_leq and meet_trees answers against other nodes, keyed
+by their serial ids.  So every memo dies with its node, and the module
+keeps no global cache; an answer about a node that has died is dropped
+by the next sweep of its table (_sweep).
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ class Tree:
     non-negative int, so every tree prints as a term.  The items of a
     forest label and the children are trees; anything else is refused
     with ForestError, checked only when a node is made.  A node also stores
-    its normal form, its sort key and its canonical guess (canonical._decode)
-    once they are first asked for, and its answers to tree_leq and
+    its normal form, its sort key, its canonical guess (canonical._decode)
+    and, on a normal root, its term (nested.print_term, a str) once they
+    are first asked for, and its answers to tree_leq and
     meet_trees against other nodes, keyed by their serial ids (_id, never
     reused, so a key keeps no node alive and outlives its node only until
     the sweep); all of these die with the node.
@@ -49,8 +50,8 @@ class Tree:
     equality would then be wrong.
     """
 
-    __slots__ = ("label", "children", "_id", "_norm", "_key", "_guess", "_leq", "_meet",
-                 "__weakref__")
+    __slots__ = ("label", "children", "_id", "_norm", "_key", "_guess", "_text", "_leq",
+                 "_meet", "__weakref__")
 
     def __new__(cls, label: "Label", children: "Forest" = ()):
         if label.__class__ is not int:
@@ -83,6 +84,7 @@ class Tree:
         set_slot(t, "_norm", None)
         set_slot(t, "_key", None)
         set_slot(t, "_guess", None)
+        set_slot(t, "_text", None)
         set_slot(t, "_leq", {})  # read inline by every loop that asks many pairs
         set_slot(t, "_meet", None)  # made by the first meet_trees call on t
         _INTERNED[key] = t

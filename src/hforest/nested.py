@@ -10,8 +10,9 @@ unrolls a nested forest into a flat structure carrying one preorder per
 level; ``unflatten`` inverts it exactly.  ``morphism_exists`` decides the
 h-preorder on that side by its own search, with no recursion and nothing
 from the h-preorder code, so it serves as the independent authority.
-``parse_term`` and ``flatten`` keep bounded memos; ``morphism_exists``
-keeps none, as it reads only the order rows it is given.
+``parse_term`` and ``flatten`` keep bounded memos, and ``print_term``
+keeps each normal root's term on the root; ``morphism_exists`` keeps
+none, as it reads only the order rows it is given.
 """
 
 from __future__ import annotations
@@ -396,8 +397,15 @@ def _parse(text: str) -> Forest:
 
 
 def print_term(f: Forest) -> str:
-    """Render the normalized forest; parse_term inverts this exactly."""
-    return _render(normalize(as_forest(f)))
+    """Render the normalized forest; parse_term inverts this exactly.
+
+    Each root of a normal form is rendered once in its lifetime: its term
+    waits in the root's _text slot, a str that keeps no node alive."""
+    roots = normalize(f)
+    for t in roots:
+        if t._text is None:
+            object.__setattr__(t, "_text", _render((t,)))
+    return "|".join([t._text for t in roots]) or "bot"
 
 
 def _render(f: Forest) -> str:

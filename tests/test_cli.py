@@ -706,6 +706,11 @@ def test_selftest_fast(capsys):
     for name, entry in data.items():
         assert entry["budget_s"] == hforest.acceptance.BUDGETS[name]
         assert 0 <= entry["seconds"] < entry["budget_s"]
+        assert set(entry["memo"]) == {
+            "forest._INTERNED", "nested._FLATS", "nested._parse", "canonical._t_pair",
+            "canonical._t_size", "oracles.ordinal_candidates", "oracles.nested_trees",
+            "oracles.nested_forests_exact"}
+        assert all(type(size) is int and size >= 0 for size in entry["memo"].values())
 
 
 def test_selftest_reports_failure(capsys, monkeypatch):

@@ -41,7 +41,7 @@ from hforest.forest import (
     validate_forest,
     wrap,
 )
-from hforest.nested import flatten, parse_term, unflatten
+from hforest.nested import flatten, parse_term, print_term, unflatten
 from hforest.ordinal import OMEGA, ord_of
 
 
@@ -371,6 +371,8 @@ def test_unreferenced_tree_leaves_the_intern_table():
     assert meet((t,), (t,)) == (t,)
     assert canonical._decode(t) is None and t._guess is not None
     assert canonical._decode(zeros) == (ord_of(300), canonical.PLAIN, 301)
+    assert print_term((t, zeros)) == "0|1234567*7654321"  # the chain normalizes to 0
+    assert print_term((t,)) == "1234567*7654321" and t._text is not None
     refs = weakref.ref(t), weakref.ref(zeros)
     size = len(forest._INTERNED)
     assert forest._INTERNED.get(key()) is t

@@ -311,6 +311,21 @@ def test_print_parse_round_trip():
             assert parse_term(text) == normalize(f)
 
 
+def test_print_term_is_the_render_of_the_normal_form():
+    # each normal root keeps its term, so a second call reads what the
+    # first one rendered; the nodes below a root keep none
+    chain = parse_term("0*1*" * 499 + "0*1")  # 1,000 nodes, alternating
+    cases = [EMPTY, parse_term("2|0*1|1*0|s(0*1)"), parse_term("s(0*1)"),
+             parse_term("(0|1)*2"), parse_term("s(0*1)*(0|1)*2|s(1)"), chain]
+    for f in cases + oracles.flat_forests(5, 2) + oracles.nested_forests(4, 2, 2):
+        text = nested._render(normalize(f))
+        assert print_term(f) == text
+        assert print_term(f) == text
+    assert print_term(EMPTY) == "bot"
+    assert print_term(parse_term("1|0|0*0")) == "0|1"
+    assert normalize(chain) == chain and chain[0].children[0]._text is None
+
+
 def test_verbose_singleton_labels_are_equivalent():
     terse = s_embed(0)
     verbose = (Tree((Tree(0),)),)

@@ -132,6 +132,13 @@ def test_the_guess_slot_has_one_home():
     assert users == ["canonical.py", "forest.py"]
 
 
+def test_the_text_slot_has_one_home():
+    # Tree makes the slot empty and nested.print_term alone fills and reads it
+    package = pathlib.Path(hforest.__file__).parent
+    users = sorted(p.name for p in package.glob("*.py") if "_text" in p.read_text())
+    assert users == ["forest.py", "nested.py"]
+
+
 def _names(code):
     """The global and attribute names a code object and its nested ones use."""
     names = set(code.co_names)
