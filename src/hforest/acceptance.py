@@ -34,7 +34,7 @@ def a1_h_preorder_oracle(flat_nodes: int = 6, flat_k: int = 3,
     their normal forms are too few to exercise h_leq.  Each
     (level, max nodes) corpus in canonical_corpora, at nested_k colors,
     checks every forest against its normal form and every two distinct
-    normal forms against each other, under oracle_h_leq.
+    normal forms against each other, by morphism_exists both ways.
     """
     checked = 0
     jobs = [
@@ -52,26 +52,30 @@ def a1_h_preorder_oracle(flat_nodes: int = 6, flat_k: int = 3,
                     return _fail(
                         f"disagreement on {print_term(f)} vs {print_term(g)}")
                 checked += 1
-    equiv = oracles.oracle_h_equiv
     for level, nodes in canonical_corpora:
         corpus = oracles.nested_forests(nodes, nested_k, level)
         normal = [normalize(f) for f in corpus]
+        forms = list(dict.fromkeys(normal))
+        flats = {f: flatten(f, level) for f in dict.fromkeys((*corpus, *forms))}
         for f, n in zip(corpus, normal):
-            if not equiv(f, n):
+            x, y = flats[f], flats[n]
+            if not (morphism_exists(x, y) and morphism_exists(y, x)):
                 return _fail(f"{print_term(f)} is not equivalent to its normal form")
             checked += 1
-        forms = list(dict.fromkeys(normal))
         for i, f in enumerate(forms):
             for g in forms[i + 1:]:
-                if equiv(f, g):
+                x, y = flats[f], flats[g]
+                if morphism_exists(x, y) and morphism_exists(y, x):
                     return _fail(
                         f"two normal forms of one class: {print_term(f)}, {print_term(g)}")
                 checked += 1
     rng = random.Random(seed)
     pool = oracles.nested_forests(nested_nodes, 3, nested_level)
-    for _ in range(extra_samples):
-        f, g = rng.choice(pool), rng.choice(pool)
-        if h_leq(f, g) != oracles.oracle_h_leq(f, g):
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(extra_samples)]
+    flats = {f: flatten(f, nested_level)
+             for f in dict.fromkeys(x for pair in pairs for x in pair)}
+    for f, g in pairs:
+        if h_leq(f, g) != morphism_exists(flats[f], flats[g]):
             return _fail(
                 f"sampled disagreement on {print_term(f)} vs {print_term(g)}")
         checked += 1

@@ -17,7 +17,7 @@ from sys import byteorder
 from ._record import Record, set_field
 from .nested import LabeledNPreorder, morphism_exists
 from .space import (FiniteSpace, KPartition, SpaceError, _points_of,
-                    all_partitions, check_size_guard, hasse_edges)
+                    all_partitions, check_size_guard, hasse_dot)
 
 
 def monotone_maps(x: FiniteSpace, y: FiniteSpace):
@@ -165,11 +165,8 @@ def degrees_to_dot(poset: DegreePoset) -> str:
     """Hasse diagram of the degree order."""
     above = [sum(1 << j for j in up if i not in poset.leq[j])
              for i, up in enumerate(poset.leq)]
-    lines = ["digraph degrees {", "  rankdir=BT;"]
+    nodes = []
     for i, members in enumerate(poset.classes):
         label = "".join(map(str, members[0].labels))
-        lines.append(f'  d{i} [label="{label} (x{len(members)})"];')
-    for i, j in hasse_edges(above):
-        lines.append(f"  d{i} -> d{j};")
-    lines.append("}")
-    return "\n".join(lines)
+        nodes.append(f'd{i} [label="{label} (x{len(members)})"]')
+    return hasse_dot("degrees", nodes, [f"d{i}" for i in range(len(nodes))], above)

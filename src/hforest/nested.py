@@ -30,7 +30,6 @@ from .forest import (
     as_forest,
     join,
     lift,
-    max_color,
     normalize,
     normalize_label,
     paths,
@@ -303,17 +302,14 @@ MAX_TERM_DEPTH = 1000
 _EMPTY_LABEL = "the empty forest is not a label"
 
 
-def parse_term(text: str, k: int | None = None) -> Forest:
+def parse_term(text: str) -> Forest:
     """Parse a term of the grammar above in one pass, with no recursion.
 
     Equal texts of at most MEMO_TERM_LENGTH characters return one shared
-    forest.  With k, a color at or above k is refused.
+    forest.  Colors have no bound here: forest.validate_forest checks one.
     """
     parse = _parse if len(text) <= MEMO_TERM_LENGTH else _parse.__wrapped__
-    result = parse(text)
-    if k is not None and max_color(result) >= k:  # every color read labels a node
-        raise TermSyntaxError(f"color out of range for k={k}", 0)
-    return result
+    return parse(text)
 
 
 @lru_cache(maxsize=MEMO_TERMS)

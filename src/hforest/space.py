@@ -29,11 +29,14 @@ from .forest import (
     postorder,
 )
 from .errors import SpaceError
-from .nested import nesting_level
+from .nested import nesting_level, print_term
 
 POINT_LIMIT = 5
 COLOR_LIMIT = 4
 MAX_BASE_SETS = 1 << 12
+# Most points from_pairs builds a space on, as closing one is super-quadratic
+# in them; chain_space(400) is the largest space in tests/ and benchmarks/.
+MAX_SPACE_POINTS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +70,13 @@ class FiniteSpace(Record):
 
     @staticmethod
     def from_pairs(n: int, pairs) -> "FiniteSpace":
-        """Build from a list of i <= j pairs; reflexive-transitive closure taken."""
-        up = [1 << i for i in range(n)]
+        """Build from i <= j pairs, closed reflexively and transitively.  The
+        count (at most MAX_SPACE_POINTS) and the points must be plain ints."""
+        up = [1 << i for i in range(_point_count(n))]
         try:
             for i, j in pairs:
+                if i.__class__ is not int or j.__class__ is not int:
+                    raise TypeError  # a bool or a float is no point number
                 if not (0 <= i < n and 0 <= j < n):
                     raise SpaceError(f"pair ({i}, {j}) out of range")
                 up[i] |= 1 << j
@@ -131,6 +137,7 @@ class FiniteSpace(Record):
 
 def chain_space(n: int) -> FiniteSpace:
     """The n-point chain 0 < 1 < ... < n-1."""
+    n = _point_count(n)  # before the n - 1 pairs are built
     return FiniteSpace.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -141,6 +148,15 @@ def antichain_space(n: int) -> FiniteSpace:
 def diamond_space() -> FiniteSpace:
     """Two bottoms (0, 1) below two tops (2, 3)."""
     return FiniteSpace.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+def _point_count(n) -> int:
+    """n, if it is a plain int from 0 to MAX_SPACE_POINTS."""
+    if n.__class__ is not int or n < 0:
+        raise SpaceError("the point count must be a non-negative integer")
+    if n > MAX_SPACE_POINTS:
+        raise SpaceError(f"the space has more than {MAX_SPACE_POINTS} points")
+    return n
 
 
 def check_size_guard(n_points: int, k: int) -> None:
@@ -656,8 +672,6 @@ def hierarchy_report(space: FiniteSpace, bases, forests, k: int) -> dict:
     of an antichain removes every membership set not above the antichain.
     Forests with more than MAX_BASE_SETS antichains raise SpaceError.
     """
-    from .nested import print_term
-
     check_size_guard(space.n, k)
     levels = (bases,) if isinstance(bases, frozenset) else bases
     reps = list(dict.fromkeys(normalize(as_forest(f)) for f in forests))
@@ -723,13 +737,15 @@ def report_to_dot(report: dict) -> str:
     above = [0] * len(terms)
     for a, b in report["inclusions"]:
         above[index[a]] |= 1 << index[b]
-    lines = ["digraph levels {", "  rankdir=BT;"]
-    for t in terms:
-        lines.append(f'  "{t}";')
-    for i, j in hasse_edges(above):
-        lines.append(f'  "{terms[i]}" -> "{terms[j]}";')
-    lines.append("}")
-    return "\n".join(lines)
+    ids = [f'"{t}"' for t in terms]
+    return hasse_dot("levels", ids, ids, above)
+
+
+def hasse_dot(name: str, nodes, ids, above: list) -> str:
+    """DOT text drawn bottom up: the node statements, then the covers of above."""
+    edges = [f"{ids[i]} -> {ids[j]}" for i, j in hasse_edges(above)]
+    return "\n".join([f"digraph {name} {{", "  rankdir=BT;",
+                      *(f"  {line};" for line in (*nodes, *edges)), "}"])
 
 
 def hasse_edges(above: list) -> list:

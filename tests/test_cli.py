@@ -11,10 +11,11 @@ import pytest
 
 import hforest.acceptance
 from hforest import nested, oracles
-from hforest.cli import (MAX_CANONICAL_NODES, MAX_SPACE_POINTS, VERBS,
-                         _build_parser, load_space, main)
+from hforest.cli import (MAX_CANONICAL_NODES, VERBS, _build_parser,
+                         load_space, main)
 from hforest.forest import forest_from_json, h_equiv
 from hforest.nested import parse_term
+from hforest.space import MAX_SPACE_POINTS
 
 
 # canonical --alpha 'w^(w*2)+w^3*2+4' --polarity bar: 52 nodes
@@ -194,6 +195,8 @@ def test_fh_check_closes_each_level_once(capsys):
      "--partition", '{"labels": [0]}', "--forest", "0"],
     ["reduce-check", "--space", json.dumps({"points": 3000, "le": []})],
     ["reduce-check", "--space", "chain:" + "9" * 5000],
+    ["reduce-check", "--space", "chain:999999999"],
+    ["reduce-check", "--space", "antichain:999999999"],
     ["reduce-check", "--space", "chain:x"],
     ["reduce-check", "--space", '{"points": "3"}'],
     ["reduce-check", "--space", "chain:2", "--partition", '{"labels": [0, 1, 1, 1]}',
@@ -290,6 +293,19 @@ def test_base_points_must_be_point_numbers(capsys, option, value):
     assert err.startswith("domain error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("space", ['{"points": true}',
+                                   '{"points": 2, "le": [[0, true]]}',
+                                   '{"points": 2, "le": [[true, 0]]}'])
+@pytest.mark.parametrize("verb", ["degrees", "dh-check"])
+def test_space_points_must_be_point_numbers(capsys, verb, space):
+    # a bool is no point count and no point number: [0, true] is not chain:2
+    more = ["--partition", '{"labels": [0, 1]}', "--forest", "0"]
+    code, out, err = run(capsys, verb, "--space", space,
+                         *(more if verb == "dh-check" else []))
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:") and err.count("\n") == 1
+
+
 def test_fh_check(capsys):
     levels = json.dumps([
         [[], [1], [0, 1]],
@@ -318,6 +334,18 @@ def test_reduce_check(capsys):
                        "--base", "upsets")
     assert code == 0
     assert json.loads(out) == {"reduction_property": False}
+
+
+@pytest.mark.parametrize("given, missing", [
+    (["--forest", "0"], "--partition"),
+    (["--partition", '{"labels": [0, 1]}'], "--forest"),
+    (["--k", "2"], "--forest and --partition"),
+    (["--forest", "0", "--k", "2"], "--partition"),
+])
+def test_reduce_check_refuses_an_option_it_would_drop(capsys, given, missing):
+    code, out, err = run(capsys, "reduce-check", "--space", "chain:2", *given)
+    assert code == 1 and out == ""
+    assert err == f"domain error: reduce-check needs {missing} too\n"
 
 
 def test_degrees(capsys):

@@ -27,6 +27,7 @@ from hforest.forest import (
     normalize,
     paths,
     singleton,
+    validate_forest,
     wrap,
 )
 from hforest.canonical import canonical_size
@@ -224,14 +225,15 @@ def test_parse_examples():
 
 
 def test_parse_color_bound():
-    parse_term("0|1", k=2)
-    with pytest.raises(TermSyntaxError):
-        parse_term("0|2", k=2)
+    # parse_term reads every color; validate_forest holds a parse below k
+    validate_forest(parse_term("0|1"), 2)
+    with pytest.raises(ForestError, match="color 2 out of range for k=2"):
+        validate_forest(parse_term("0|2"), 2)
     # the bound is read off the parse, so it holds as deep as the parser reads
     deep = "0*" * 999
-    assert parse_term(deep + "1", 2) == parse_term(deep + "1")
-    with pytest.raises(TermSyntaxError, match=r"color out of range for k=2 \(at position 0\)"):
-        parse_term(deep + "2", 2)
+    validate_forest(parse_term(deep + "1"), 2)
+    with pytest.raises(ForestError, match="color 2 out of range for k=2"):
+        validate_forest(parse_term(deep + "2"), 2)
 
 
 def test_parse_memo():
@@ -242,13 +244,6 @@ def test_parse_memo():
             parse_term("0*(1|)")
         outcomes.append((str(exc.value), exc.value.pos))
     assert outcomes[0] == outcomes[1] == ("unexpected character ')' (at position 5)", 5)
-    # a k refusal on a miss and on a hit; the answer without k in between
-    for expect_miss in (True, False):
-        misses = nested._parse.cache_info().misses
-        with pytest.raises(TermSyntaxError, match="color out of range for k=5"):
-            parse_term("4*(3|5*1)", 5)
-        assert (nested._parse.cache_info().misses > misses) is expect_miss
-        assert parse_term("4*(3|5*1)", 6) is parse_term("4*(3|5*1)")
     # a text longer than MEMO_TERM_LENGTH is parsed afresh and not kept
     long_text = "0*" * 147 + "987654"
     assert len(long_text) == 300 > MEMO_TERM_LENGTH
@@ -591,10 +586,10 @@ def test_parser_matches_reference():
                 assert got == want, text
         if kind == "ok":
             top = max_color(want)
-            assert parse_term(text, top + 1) == got, text
+            validate_forest(got, top + 1)
             if top >= 0:
-                with pytest.raises(TermSyntaxError, match="color out of range"):
-                    parse_term(text, top)
+                with pytest.raises(ForestError, match=f"color {top} out of range"):
+                    validate_forest(got, top)
             parsed += 1
         else:
             errors.add(got[0].split(" (at")[0].split(" '")[0])

@@ -139,6 +139,25 @@ def test_the_text_slot_has_one_home():
     assert users == ["forest.py", "nested.py"]
 
 
+def test_the_input_checks_have_one_home():
+    # from_pairs checks the point count, validate_forest the colors, and one
+    # writer draws both Hasse diagrams
+    import inspect
+
+    from hforest import nested, space
+
+    package = pathlib.Path(hforest.__file__).parent
+    for text in ("MAX_SPACE_POINTS", "the point count must be"):
+        users = sorted(p.name for p in package.glob("*.py") if text in p.read_text())
+        assert users == ["space.py"], text
+    assert list(inspect.signature(nested.parse_term).parameters) == ["text"]
+    modules = [importlib.import_module(f"hforest.{p.stem}")
+               for p in package.glob("*.py") if p.stem != "__init__"]
+    callers = {func for m in modules for func in vars(m).values()
+               if hasattr(func, "__code__") and "hasse_edges" in _names(func.__code__)}
+    assert callers == {space.hasse_dot}
+
+
 def _names(code):
     """The global and attribute names a code object and its nested ones use."""
     names = set(code.co_names)

@@ -12,6 +12,7 @@ from hforest.forest import Forest, Tree, as_forest, join, lift, paths, singleton
 from hforest.nested import nesting_level, parse_term, s_embed
 from hforest.space import (
     MAX_BASE_SETS,
+    MAX_SPACE_POINTS,
     FiniteSpace,
     KPartition,
     PFamily,
@@ -198,6 +199,30 @@ def test_space_checks_match_the_pairwise_reference():
 def test_space_json_pairs_must_be_point_pairs(le):
     with pytest.raises(SpaceError, match="point pairs"):
         FiniteSpace.from_json({"points": 2, "le": le})
+
+
+@pytest.mark.parametrize("n", [True, False, "x", 2.0, -1, MAX_SPACE_POINTS + 1])
+@pytest.mark.parametrize("build", [
+    lambda n: FiniteSpace.from_json({"points": n}),
+    lambda n: FiniteSpace.from_pairs(n, []), chain_space, antichain_space])
+def test_space_builders_refuse_a_bad_point_count(build, n):
+    with pytest.raises(SpaceError,
+                       match=f"point count|more than {MAX_SPACE_POINTS} points"):
+        build(n)
+
+
+@pytest.mark.parametrize("pair", [(0, True), (True, 0), (False, 1)])
+def test_space_pairs_refuse_bool_points(pair):
+    with pytest.raises(SpaceError, match="point pairs"):
+        FiniteSpace.from_pairs(2, [pair])
+    with pytest.raises(SpaceError, match="point pairs"):
+        FiniteSpace.from_json({"points": 2, "le": [list(pair)]})
+
+
+def test_space_builders_admit_their_bound():
+    for build in (chain_space, antichain_space):
+        assert build(MAX_SPACE_POINTS).n == MAX_SPACE_POINTS
+    assert FiniteSpace.from_pairs(0, []).n == 0
 
 
 def test_from_pairs_closure_and_antisymmetry():
