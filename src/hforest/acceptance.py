@@ -309,21 +309,26 @@ def a6_category_equivalence(level: int = 3, max_nodes: int = 5, k: int = 2,
 
 
 def a7_reduction(max_points: int = 3, forest_nodes: int = 4, k: int = 2):
-    """Reduction property verdicts and reduced-family equivalence."""
-    for n in range(1, 6):
-        if not space.has_reduction_property(up_sets(space.chain_space(n))):
-            return _fail(f"chain of {n} points misreported")
-        if not space.has_reduction_property(
-                space.powerset_base(space.antichain_space(min(n, 3)))):
-            return _fail("powerset base misreported")
-    if space.has_reduction_property(up_sets(space.diamond_space())):
-        return _fail("diamond up-sets misreported as having reduction")
+    """Reduction property verdicts, each against reduce_pair on every pair
+    of base sets, and reduced-family equivalence."""
+    named = [(f"chain of {n} points", up_sets(space.chain_space(n)), True)
+             for n in range(1, 6)]
+    named += [("powerset base", space.powerset_base(space.antichain_space(n)), True)
+              for n in range(1, 4)]
+    named.append(("diamond up-sets", up_sets(space.diamond_space()), False))
+    for name, base, verdict in named:
+        if not (space.has_reduction_property(base) == verdict
+                == oracles.oracle_reduction_property(base)):
+            return _fail(f"{name} misreported")
     forests = oracles.normalized_corpus(
         oracles.flat_forests(forest_nodes, k, include_empty=False))
     checked = 0
     for sp in oracles.all_posets_up_to(max_points):
         for base in (up_sets(sp), space.powerset_base(sp)):
-            if not space.has_reduction_property(base):
+            verdict = space.has_reduction_property(base)
+            if verdict != oracles.oracle_reduction_property(base):
+                return _fail(f"reduction property misreported on {sp.to_json()}")
+            if not verdict:
                 continue
             for f in forests:
                 for a in all_partitions(sp.n, k):

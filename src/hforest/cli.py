@@ -45,9 +45,20 @@ def _read_maybe_file(value: str) -> str:
 
 
 def _loads(text: str):
+    """JSON text as a value.  An integer longer than int() converts is a
+    syntax error where its digits start, as any other bad JSON is."""
     import json
+    import re
 
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the only other error json.loads raises on a str
+        limit = sys.get_int_max_str_digits()
+        at = re.search(rf"\d{{{limit + 1}}}", text).start()
+        raise json.JSONDecodeError(f"integer of more than {limit} digits",
+                                   text, at) from None
 
 
 def load_forest(value: str) -> Forest:

@@ -108,8 +108,6 @@ def degree_poset(space: FiniteSpace, k: int) -> DegreePoset:
     of b o M at once.  An index is below k ** n <= 4 ** 5, so it fits its
     item and no sum carries into the next.
     """
-    if k < 1:
-        raise SpaceError(f"the number of colors must be at least 1, not {k}")
     check_size_guard(space.n, k)
     n = space.n
     maps = monotone_maps(space, space)

@@ -219,9 +219,9 @@ def max_color(f: Forest) -> int:
 
 
 def validate_forest(f: Forest, k: int) -> None:
-    """Check every color is < k."""
+    """Check every color is < k; a forest with no color passes any k."""
     top = max_color(f)
-    if top >= k:
+    if top >= max(k, 0):
         raise ForestError(f"color {top} out of range for k={k}")
 
 

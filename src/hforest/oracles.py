@@ -15,7 +15,7 @@ from .canonical import BAR, PLAIN, CanonicalName, _t_size, t_nested
 from .forest import EMPTY, Forest, Tree, as_forest, as_label, normalize, sort_key
 from .nested import flatten, morphism_exists, nesting_level
 from .ordinal import ZERO, Ord
-from .space import FiniteSpace, SpaceError, all_partitions
+from .space import FiniteSpace, SpaceError, all_partitions, reduce_pair
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +229,12 @@ def all_posets(n: int) -> list:
 
 def all_posets_up_to(max_points: int) -> list:
     return [p for n in range(1, max_points + 1) for p in all_posets(n)]
+
+
+def oracle_reduction_property(base) -> bool:
+    """The reduction property by its definition: reduce_pair finds a
+    reduction of every ordered pair of base sets."""
+    return all(reduce_pair(x, y, base) is not None for x in base for y in base)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ A finite T0 space is a finite poset carrying the topology whose opens are
 the up-sets; continuous maps are exactly the monotone ones.  Subsets are
 int bitmasks.  A base is a family of subsets closed under union and
 intersection that contains the empty set; an omega-base is a sequence of
-bases, each containing the previous one and its complements.
+bases, each containing the previous one and its complements.  On a finite
+space a base is fixed by each point's least open, the meet of its sets
+holding the point (_least_opens): the base is the unions of the least
+opens, and it has the reduction property exactly when any two of them
+are disjoint or nested.
 
 A k-partition is defined by a family of base sets indexed by the nodes of
 a forest (flat case) or by tuples of nodes walking through nested labels
@@ -50,7 +54,7 @@ class FiniteSpace(Record):
     __slots__ = _fields + ("_down",)
 
     def __init__(self, n: int, up: tuple):
-        if len(up) != n:
+        if len(up) != _point_count(n):
             raise SpaceError(f"{len(up)} order rows for {n} points")
         if any(row >> n for row in up):
             raise SpaceError("an order row names points outside the space")
@@ -160,7 +164,10 @@ def _point_count(n) -> int:
 
 
 def check_size_guard(n_points: int, k: int) -> None:
-    """Refuse a job that enumerates k ** n_points partitions past the limits."""
+    """Refuse a job that enumerates k ** n_points partitions past the
+    limits, or that has no color to give a point."""
+    if k < 1:
+        raise SpaceError(f"the number of colors must be at least 1, not {k}")
     if n_points > POINT_LIMIT or k > COLOR_LIMIT:
         raise SpaceError(
             f"{n_points} points / {k} colors exceeds the limit "
@@ -178,18 +185,23 @@ def close_base(seed, n_points: int) -> Base:
     """Least family containing seed closed under union and intersection, with 0.
 
     Set lattices are distributive, so the closure is the unions of the
-    intersections of seed sets; each of the two closures is grown one set
-    at a time, so the cost follows the size of the result.
+    intersections of seed sets.  Each such intersection is the union of
+    the least opens of its points (_least_opens), so the closure is the
+    unions of the least opens, and its cost follows the size of the result.
     """
-    full = (1 << n_points) - 1
-    meets = {0}
-    for s in seed:
-        if s & ~full:
+    return _unions(_least_opens(seed, n_points))
+
+
+def _least_opens(sets, n_points: int) -> set:
+    """For each point some set holds, the meet of the sets holding it:
+    the least open of the point in the closure of the sets."""
+    opens: dict = {}
+    for s in sets:
+        if s >> n_points:
             raise SpaceError(f"set {s:b} has points outside the space")
-        meets |= {s} | {s & m for m in meets}
-        if len(meets) > MAX_BASE_SETS:
-            raise SpaceError(f"the closed base exceeds {MAX_BASE_SETS} sets")
-    return _unions(meets)
+        for p in _points_of(s):
+            opens[p] = opens.get(p, s) & s
+    return set(opens.values())
 
 
 def _unions(sets) -> Base:
@@ -611,11 +623,25 @@ def reduce_pair(a: int, b: int, base: Base):
 
 
 def has_reduction_property(base: Base) -> bool:
-    # (a, b & ~a) is a reduction whenever b & ~a lies in the base
-    return all(
-        b & ~a in base or reduce_pair(a, b, base) is not None
-        for a in base for b in base
-    )
+    """Does every pair of sets of the closed base have a reduction?
+
+    The base must be closed (every caller passes one), so each point p of
+    its sets has a least open O_p in it, and the answer is whether any two
+    least opens are disjoint or nested:
+    - If O_p and O_q overlap and neither holds the other, then p is not in
+      O_q and q is not in O_p, so a reduction of (O_p, O_q) keeps p on the
+      first side and q on the second, and with them their least opens:
+      it would put the overlap on both sides.
+    - Otherwise, for any a and b, let a2 be the union of the least opens of
+      the points of a - b, a base set inside a.  The rest of a | b lies in
+      b, and for each point q of it O_q misses a2: were O_q to meet some
+      O_p of a2, one would hold the other, and O_p inside O_q (inside b)
+      puts p in b, while O_q inside O_p puts q in a2.  So the rest is the
+      union of its points' least opens, a base set, and (a2, rest) is a
+      reduction of (a, b).
+    """
+    opens = _least_opens(base, max(base, default=0).bit_length())
+    return all(x & y in (0, x, y) for x, y in combinations(opens, 2))
 
 
 def is_reduced(fam: PFamily) -> bool:

@@ -360,10 +360,12 @@ def test_degrees(capsys):
 
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_degrees_needs_a_color(capsys, k):
-    for argv in (["--k", k], [f"--k={k}"]):
-        code, out, err = run(capsys, "degrees", "--space", "chain:2", *argv)
-        assert (code, out) == (1, "")
-        assert err == f"domain error: the number of colors must be at least 1, not {k}\n"
+    # report's empty forest holds no color, so only k can refuse it
+    for verb in (["degrees"], ["report", "--forest", "bot"]):
+        for argv in (["--k", k], [f"--k={k}"]):
+            code, out, err = run(capsys, *verb, "--space", "chain:2", *argv)
+            assert (code, out) == (1, "")
+            assert err == f"domain error: the number of colors must be at least 1, not {k}\n"
 
 
 def test_report(capsys):
@@ -584,17 +586,33 @@ def test_usage_errors_are_one_syntax_error_line(capsys, argv, err):
     assert _exit(lambda: main(argv), capsys) == (2, "", f"syntax error: {err}\n")
 
 
+NINES = "9" * 5000  # more digits than int() and json.loads convert
+
+
 @pytest.mark.parametrize("argv", [
     ["normalize", "--forest", "\u00b2"],
     ["canonical", "--alpha", "\u00b2"],
     ["normalize", "--forest", "1" * 5000],
     ["canonical", "--alpha", "1" * 5000],
     ["canonical", "--alpha", "w*" + "1" * 5000],
+    ["degrees", "--space", f'{{"points": {NINES}}}'],
+    ["parse", "--forest", f'[{{"label": {NINES}}}]'],
+    ["dh-check", "--space", "chain:2", "--forest", "0",
+     "--partition", f'{{"labels": [{NINES}]}}'],
 ])
 def test_numbers_outside_ascii_or_int_are_syntax_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("syntax error:") and err.count("\n") == 1
+
+
+def test_reduce_check_answers_on_the_largest_base_admitted():
+    # six disjoint 3-chains: 18 points and 4 ** 6 = MAX_BASE_SETS up-sets
+    le = [[3 * c + i, 3 * c + i + 1] for c in range(6) for i in range(2)]
+    space = json.dumps({"points": 18, "le": le})
+    call = _cli("reduce-check", "--space", space)
+    out, err = _outputs(call, timeout=30)
+    assert (call.returncode, out, err) == (0, '{"reduction_property": true}\n', "")
 
 
 def test_deep_input_is_a_domain_error(capsys):

@@ -140,14 +140,15 @@ def test_the_text_slot_has_one_home():
 
 
 def test_the_input_checks_have_one_home():
-    # from_pairs checks the point count, validate_forest the colors, and one
-    # writer draws both Hasse diagrams
+    # from_pairs checks the point count, check_size_guard that k is at least
+    # 1, validate_forest the colors, and one writer draws both Hasse diagrams
     import inspect
 
     from hforest import nested, space
 
     package = pathlib.Path(hforest.__file__).parent
-    for text in ("MAX_SPACE_POINTS", "the point count must be"):
+    for text in ("MAX_SPACE_POINTS", "the point count must be",
+                 "the number of colors must be"):
         users = sorted(p.name for p in package.glob("*.py") if text in p.read_text())
         assert users == ["space.py"], text
     assert list(inspect.signature(nested.parse_term).parameters) == ["text"]
@@ -172,6 +173,17 @@ def test_the_opens_and_the_closed_bases_share_one_union_step():
 
     for func in (space.up_sets, space.close_base):
         assert "_unions" in _names(func.__code__), func.__name__
+
+
+def test_a_bases_order_is_read_from_the_least_opens():
+    # A7 checks has_reduction_property by reduce_pair on every pair, so the
+    # verdict may never run reduce_pair
+    from hforest import oracles, space
+
+    for func in (space.close_base, space.has_reduction_property):
+        assert "_least_opens" in _names(func.__code__), func.__name__
+    assert "reduce_pair" not in _names(space.has_reduction_property.__code__)
+    assert "reduce_pair" in _names(oracles.oracle_reduction_property.__code__)
 
 
 def test_the_authority_stays_off_the_fast_path():

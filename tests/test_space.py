@@ -204,7 +204,8 @@ def test_space_json_pairs_must_be_point_pairs(le):
 @pytest.mark.parametrize("n", [True, False, "x", 2.0, -1, MAX_SPACE_POINTS + 1])
 @pytest.mark.parametrize("build", [
     lambda n: FiniteSpace.from_json({"points": n}),
-    lambda n: FiniteSpace.from_pairs(n, []), chain_space, antichain_space])
+    lambda n: FiniteSpace.from_pairs(n, []), chain_space, antichain_space,
+    lambda n: FiniteSpace(n, (1,))])
 def test_space_builders_refuse_a_bad_point_count(build, n):
     with pytest.raises(SpaceError,
                        match=f"point count|more than {MAX_SPACE_POINTS} points"):
@@ -251,8 +252,8 @@ def test_close_base_examples():
     assert close_base({0b01, 0b10}, 2) == frozenset({0, 0b01, 0b10, 0b11})
     rng = random.Random(3)
     for _ in range(300):
-        n = rng.randrange(6)
-        seed = [rng.randrange(1 << n) for _ in range(rng.randrange(5))]
+        n = rng.randrange(8)
+        seed = [rng.randrange(1 << n) for _ in range(rng.randrange(9))]
         assert close_base(seed, n) == _closure_by_rounds(seed, n)
 
 
@@ -659,6 +660,41 @@ def test_reduce_pair_and_property():
     start = time.perf_counter()
     assert has_reduction_property(up_sets(chain_space(400)))  # 401 sets
     assert time.perf_counter() - start < 5
+
+
+def test_reduction_property_is_reduce_pair_on_every_pair():
+    rng = random.Random(28)
+    cases = [(sp, base) for n in range(5) for sp in oracles.all_posets(n)
+             for base in (up_sets(sp), powerset_base(sp),
+                          *(_random_closed_base(rng, sp) for _ in range(5)))]
+    cases += [(sp, up_sets(sp)) for sp in (_random_space(rng, 5) for _ in range(200))]
+    verdicts = set()
+    for sp, base in cases:
+        verdict = has_reduction_property(base)
+        assert verdict == oracles.oracle_reduction_property(base), (sp, base)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _disjoint_3_chains(count):
+    return FiniteSpace.from_pairs(
+        3 * count, [(3 * c + i, 3 * c + i + 1) for c in range(count) for i in range(2)])
+
+
+@pytest.mark.parametrize("count", [5, 6])  # 1,024 and 4,096 = MAX_BASE_SETS sets
+def test_reduction_property_on_disjoint_chains_is_fast(count):
+    base = up_sets(_disjoint_3_chains(count))
+    assert len(base) == 4 ** count
+    start = time.perf_counter()
+    assert has_reduction_property(base)
+    assert time.perf_counter() - start < 1
+
+
+def test_validate_base_on_the_largest_powerset_is_fast():
+    base = powerset_base(antichain_space(12))
+    start = time.perf_counter()
+    assert validate_base(base, 12) == base
+    assert time.perf_counter() - start < 1
 
 
 def test_three_set_reduction_by_iteration():
