@@ -298,8 +298,6 @@ def cmd_report(args):
     bases = (load_base(args.base, space) if args.omega_base is None
              else load_omega_base(args.omega_base, space))
     forests = [load_forest(v) for v in args.forest]
-    for f in forests:
-        validate_forest(f, args.k)
     report = hierarchy_report(space, bases, forests, args.k)
     return report_to_dot(report) if args.emit == "dot" else report
 

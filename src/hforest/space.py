@@ -31,6 +31,7 @@ from .forest import (
     normalize,
     paths,
     postorder,
+    validate_forest,
 )
 from .errors import SpaceError
 from .nested import nesting_level, print_term
@@ -102,12 +103,8 @@ class FiniteSpace(Record):
         return FiniteSpace.from_pairs(data["points"], data.get("le", []))
 
     def to_json(self) -> dict:
-        pairs = [
-            [i, j]
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j and self.leq(i, j)
-        ]
+        pairs = [[i, j] for i, row in enumerate(self.up)
+                 for j in _points_of(row) if i != j]
         return {"points": self.n, "le": pairs}
 
     def leq(self, i: int, j: int) -> bool:
@@ -189,19 +186,19 @@ def close_base(seed, n_points: int) -> Base:
     the least opens of its points (_least_opens), so the closure is the
     unions of the least opens, and its cost follows the size of the result.
     """
-    return _unions(_least_opens(seed, n_points))
+    return _unions(set(_least_opens(seed, n_points).values()))
 
 
-def _least_opens(sets, n_points: int) -> set:
-    """For each point some set holds, the meet of the sets holding it:
-    the least open of the point in the closure of the sets."""
+def _least_opens(sets, n_points: int) -> dict:
+    """Each point some set holds -> the meet of the sets holding it: the
+    least open of the point in the closure of the sets."""
     opens: dict = {}
     for s in sets:
         if s >> n_points:
             raise SpaceError(f"set {s:b} has points outside the space")
         for p in _points_of(s):
             opens[p] = opens.get(p, s) & s
-    return set(opens.values())
+    return opens
 
 
 def _unions(sets) -> Base:
@@ -450,16 +447,20 @@ def family_defines(fam: PFamily, space: FiniteSpace):
 # the space, the label forest of every inner node has sets whose union is
 # that node's new part, and every deepest new part lies inside its color's
 # class.  A flat forest over a base B is the one-level case, over (B,).
-# At the deepest level one greedy pass decides it.  Children first, each
-# node takes the union of the base sets inside (below | class) & target,
-# where below is the union of its children's sets and class its color's:
-# its new part then lies in its class.  A base is closed under union, so
-# that union is a base set, and it holds below.  By induction on the
-# forest any other family's union at a node lies inside this greatest
-# family's, so the target is reachable exactly when the greatest family
-# covers it: _greatest.  An inner node's label must cover its new part
-# exactly, which is not monotone in the node's set, so _feasible sweeps
-# every union each tree can reach at the inner levels, above that pass.
+# One greedy pass decides every level (_greatest).  Children first, each
+# node takes the union of the base sets inside (below | allowed) & target,
+# where below is its children's union and allowed the points its new part
+# may hold; as a base is closed under union, that is a base set holding
+# below.  By induction any other family's set at a node lies inside this
+# one's, so the target is reachable exactly when it is this union.  The
+# deepest level allows a node its color's class.  Above it, call the
+# target's points that share one least open there a cell:
+# - A level's sets are unions of least opens: a new part is a union of cells.
+# - Each cell, an open minus the smaller opens, is in the next level, which
+#   holds the opens and their complements.
+# - So a label covers a new part exactly when it covers each cell in it,
+#   and allowed is the cells its label's greatest family covers a level
+#   down: fixed before the node's set is chosen.
 
 
 def _classes(a: KPartition) -> dict:
@@ -470,15 +471,37 @@ def _classes(a: KPartition) -> dict:
     return classes
 
 
-def _greatest(forest: Forest, target: int, classes: dict, base: Base) -> tuple:
+def _greatest(forest: Forest, target: int, classes: dict, base: Base,
+              inner: tuple | None = None) -> tuple:
     """The greatest family inside target: each distinct tree's set, and
-    the union of the sets."""
-    sets: dict = {}
-    top = 0
+    the union of the sets.  Above the deepest level inner is (the next
+    level, omega_base, each inner level's least opens, memo of covers)."""
+    allowed = classes
+    if inner is not None:  # each label -> the cells it covers a level down
+        below, omega_base, opens, memo = inner
+        cells: dict = {}  # least open -> the target's points it is least for
+        for p, o in opens[below - 1].items():
+            if target >> p & 1:
+                cells[o] = cells.get(o, 0) | 1 << p
+        deeper = (below + 1, omega_base, opens, memo) if below < len(opens) else None
+        allowed = {}
+        for t in postorder(forest):
+            label, x = lift(t.label), 0
+            for cell in cells.values():
+                key = (label, cell, below)
+                if key not in memo:
+                    memo[key] = _greatest(label, cell, classes, omega_base[below],
+                                          deeper)[1] == cell
+                if memo[key]:
+                    x |= cell
+            allowed[t.label] = x
+    sets, top = {}, 0
     for t in postorder(forest):
-        if not isinstance(t.label, int):
-            raise SpaceError("non-color label at the deepest level")
-        x = classes.get(t.label, 0)
+        x = allowed.get(t.label)
+        if x is None:
+            if not isinstance(t.label, int):
+                raise SpaceError("non-color label at the deepest level")
+            x = 0
         for c in t.children:
             x |= sets[c]
         x &= target
@@ -495,48 +518,24 @@ def _greatest(forest: Forest, target: int, classes: dict, base: Base) -> tuple:
     return sets, top
 
 
-def _joins(families) -> set:
-    """Every union of one set from each family."""
-    out = {0}
-    for fam in families:
-        out = {u | v for u in out for v in fam}
-    return out
-
-
-def _feasible(f: Forest, level: int, target: int, omega_base, depth: int,
-              classes: dict, memo: dict) -> bool:
-    """Can f's sets at this level of the omega-base have exactly target as
-    their union?  The deepest level is one greedy pass; above it, each
-    tree's reachable unions are swept, memoized by (f, level, target)."""
-    if level + 1 == depth:
-        return _greatest(f, target, classes, omega_base[level])[1] == target
-    key = (f, level, target)
-    if key not in memo:
-        reach: dict = {}  # tree -> every union its subtree's sets can have
-        for t in postorder(f):
-            label = lift(t.label)
-            reach[t] = out = set()
-            for below in _joins(map(reach.__getitem__, t.children)):
-                for b in omega_base[level]:
-                    u = b | below
-                    if not (b & ~target or u in out) and _feasible(
-                            label, level + 1, b & ~below, omega_base, depth,
-                            classes, memo):
-                        out.add(u)
-        memo[key] = target in _joins(map(reach.__getitem__, f))
-    return memo[key]
-
-
 def fh_membership(a: KPartition, forest: Forest, omega_base,
                   space: FiniteSpace) -> bool:
     """Is the partition definable by a family over the omega-base?  One
-    entry for every depth: a flat forest is one greedy pass."""
+    greedy pass at every depth: a new part is a union of cells, each in the
+    next level, so a label covers it exactly when it covers each cell."""
     forest = as_forest(forest)
     depth = max(1, nesting_level(forest))
     if depth > len(omega_base):
         raise SpaceError(
             f"nesting level {depth} exceeds the {len(omega_base)}-level base")
-    return _feasible(forest, 0, space.full, omega_base, depth, _classes(a), {})
+    inner = None
+    if depth > 1:  # one memo for the call: (label forest, cell, level) -> cover
+        opens = []
+        for base in omega_base[:depth - 1]:
+            opens.append(_least_opens(base, space.n))
+        inner = (1, omega_base, opens, {})
+    full = space.full
+    return _greatest(forest, full, _classes(a), omega_base[0], inner)[1] == full
 
 
 def dh_membership(a: KPartition, forest: Forest, base: Base,
@@ -640,7 +639,7 @@ def has_reduction_property(base: Base) -> bool:
       union of its points' least opens, a base set, and (a2, rest) is a
       reduction of (a, b).
     """
-    opens = _least_opens(base, max(base, default=0).bit_length())
+    opens = set(_least_opens(base, max(base, default=0).bit_length()).values())
     return all(x & y in (0, x, y) for x, y in combinations(opens, 2))
 
 
@@ -682,7 +681,10 @@ def reduce_family(fam: PFamily, base: Base, space: FiniteSpace) -> PFamily:
                 sets[p] &= sets[key]
         for p, q in combinations(group, 2):  # a reduced pair only shrinks
             if sets[p] & sets[q]:
-                sets[p], sets[q] = reduce_pair(sets[p], sets[q], base)
+                pair = reduce_pair(sets[p], sets[q], base)
+                if pair is None:  # has_reduction_property reads a closed base
+                    raise SpaceError("the base is not closed under union/intersection")
+                sets[p], sets[q] = pair
     return PFamily(fam.forest, 1, sets)
 
 
@@ -696,11 +698,15 @@ def hierarchy_report(space: FiniteSpace, bases, forests, k: int) -> dict:
     bases is a single base (flat forests) or a sequence of bases (nested).
     Levels are intersections over antichains of forests; the constituent
     of an antichain removes every membership set not above the antichain.
-    Forests with more than MAX_BASE_SETS antichains raise SpaceError.
+    Forests with more than MAX_BASE_SETS antichains raise SpaceError, and
+    a color past k ForestError, before the size guard.
     """
+    forests = [as_forest(f) for f in forests]
+    for f in forests:
+        validate_forest(f, k)
     check_size_guard(space.n, k)
     levels = (bases,) if isinstance(bases, frozenset) else bases
-    reps = list(dict.fromkeys(normalize(as_forest(f)) for f in forests))
+    reps = list(dict.fromkeys(normalize(f) for f in forests))
     idx = range(len(reps))
     below = [[h_leq(reps[i], reps[j]) for j in idx] for i in idx]
     # Antichains by size, then lexicographically: each one of size r + 1
@@ -716,17 +722,14 @@ def hierarchy_report(space: FiniteSpace, bases, forests, k: int) -> dict:
                  for j in range(combo[-1] + 1, len(reps))
                  if not any(below[i][j] or below[j][i] for i in combo)]
     partitions = list(all_partitions(space.n, k))
-    member_sets = []
-    for f in reps:
-        member_sets.append(frozenset(
-            a for a in partitions if fh_membership(a, f, levels, space)))
+    member_sets = [  # of label tuples, which hash faster than partitions
+        frozenset(a.labels for a in partitions if fh_membership(a, f, levels, space))
+        for f in reps]
 
     constituents = []
     for combo in antichains:
         level = frozenset.intersection(*(member_sets[i] for i in combo))
-        outside = [
-            j for j in idx if not any(below[i][j] for i in combo)
-        ]
+        outside = [j for j in idx if not any(below[i][j] for i in combo)]
         constituent = level.difference(*(member_sets[j] for j in outside))
         constituents.append((combo, level, constituent))
 
@@ -737,20 +740,16 @@ def hierarchy_report(space: FiniteSpace, bases, forests, k: int) -> dict:
         "forests": terms,
         "levels": [
             {"forest": terms[i], "size": len(member_sets[i]),
-             "members": sorted(list(a.labels) for a in member_sets[i])}
+             "members": sorted(map(list, member_sets[i]))}
             for i in idx
         ],
-        "inclusions": [
-            [terms[i], terms[j]]
-            for i in idx
-            for j in idx
-            if i != j and member_sets[i] <= member_sets[j]
-        ],
+        "inclusions": [[terms[i], terms[j]] for i in idx for j in idx
+                       if i != j and member_sets[i] <= member_sets[j]],
         "constituents": [
             {"antichain": [terms[i] for i in combo],
              "level_size": len(level),
              "size": len(constituent),
-             "members": sorted(list(a.labels) for a in constituent)}
+             "members": sorted(map(list, constituent))}
             for combo, level, constituent in constituents
         ],
     }

@@ -615,6 +615,20 @@ def test_reduce_check_answers_on_the_largest_base_admitted():
     assert (call.returncode, out, err) == (0, '{"reduction_property": true}\n', "")
 
 
+@pytest.mark.parametrize("labels, member", [([0] * 11 + [1], True),
+                                             ([0] * 11 + [2], False)])
+def test_fh_check_answers_on_the_largest_omega_base_admitted(capsys, labels, member):
+    # two levels of 12 singletons, each closed to the 4,096-set powerset
+    singletons = [[p] for p in range(12)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fh-check", "--space", "antichain:12",
+                         "--omega-base", json.dumps([singletons, singletons]),
+                         "--forest", "(0*1)*((1*0)|(0*1)|s(0|1))",
+                         "--partition", json.dumps({"labels": labels}))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, json.dumps({"member": member}) + "\n", "")
+
+
 def test_deep_input_is_a_domain_error(capsys):
     # a deep term answers; the JSON reader has a depth limit of its own
     code, out, err = run(capsys, "normalize", "--forest", "0*" * 600 + "1")

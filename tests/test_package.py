@@ -243,15 +243,16 @@ def test_the_one_tree_folds_do_not_recurse():
 
 
 def test_membership_has_one_entry_and_no_closure():
-    # fh_membership calls _feasible alone, whose first line is the greedy
-    # pass at the deepest level: no depth fork, and no function built per call
+    # _greatest decides every level, the inner ones from the cells each
+    # label covers, so no union sweep is left; no function is built per call
     from hforest import space
 
-    for func in (space.fh_membership, space._feasible):
+    for func in (space.fh_membership, space.dh_membership, space.dh_witness_family):
+        assert "_greatest" in _names(func.__code__), func.__name__
+    assert not hasattr(space, "_feasible") and not hasattr(space, "_joins")
+    for func in (space.fh_membership, space._greatest):
         assert not any(hasattr(c, "co_code") for c in func.__code__.co_consts), \
             func.__name__
-    names = _names(space.fh_membership.__code__)
-    assert "_feasible" in names and "_greatest" not in names
 
 
 def test_each_normal_form_node_is_deduped_once():

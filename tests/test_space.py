@@ -8,6 +8,7 @@ import pytest
 
 from hforest import oracles
 from hforest.canonical import BAR, PLAIN, t_flat
+from hforest.errors import ForestError
 from hforest.forest import Forest, Tree, as_forest, join, lift, paths, singleton
 from hforest.nested import nesting_level, parse_term, s_embed
 from hforest.space import (
@@ -460,6 +461,46 @@ def test_membership_matches_reference():
                     fh_checked += 1
                     fh_members += want
     assert fh_checked > 10000 and 0.05 < fh_members / fh_checked < 0.95
+    # random closed omega-bases, whose coarse first levels give inner cells
+    # (points sharing one least open) of several points
+    pools = {2: oracles.nested_forests(4, 2, 2, include_empty=False),
+             3: oracles.nested_forests(3, 2, 3, include_empty=False)}
+    verdicts, widest = set(), 0
+    for sp in oracles.all_posets_up_to(3):
+        for _ in range(30):
+            levels = _random_omega_base(rng, sp, rng.choice((2, 3)))
+            for f in rng.sample(pools[len(levels)], 6):
+                a = KPartition(tuple(rng.randrange(2) for _ in range(sp.n)), 2)
+                want = reference_member(a, f, levels, sp)
+                assert fh_membership(a, f, levels, sp) == want, (sp, levels, f, a)
+                verdicts.add(want)
+                if nesting_level(f) > 1:
+                    widest = max(widest, _widest_cell(levels[0], sp))
+    assert verdicts == {False, True} and widest >= 2
+
+
+def _random_omega_base(rng, sp, depth):
+    """Closed levels: the first closes one or two random sets, and each
+    next one the last, its complements and a few random sets."""
+    levels = [close_base([rng.randrange(sp.full + 1) for _ in range(rng.randint(1, 2))],
+                         sp.n)]
+    while len(levels) < depth:
+        seed = [*levels[-1], *complements(levels[-1], sp.n),
+                *(rng.randrange(sp.full + 1) for _ in range(rng.randrange(3)))]
+        levels.append(close_base(seed, sp.n))
+    return tuple(levels)
+
+
+def _widest_cell(base, sp):
+    """The most points that share one least open in the base: the meet of
+    the base sets holding them."""
+    meets = [sp.full] * sp.n
+    for s in base:
+        for p in range(sp.n):
+            if s >> p & 1:
+                meets[p] &= s
+    held = [m for p, m in enumerate(meets) if any(s >> p & 1 for s in base)]
+    return max(map(held.count, held), default=0)
 
 
 def test_witness_is_the_greatest_family():
@@ -533,12 +574,14 @@ def test_membership_matches_family_enumeration():
                     fam = dh_witness_family(a, f, base, sp)
                     assert (fam is not None) == (a.labels in expected)
     chain = chain_space(2)
-    levels = (up_sets(chain), powerset_base(chain))
-    for f in oracles.nested_forests(3, 2, 2, include_empty=False):
-        depth = max(1, nesting_level(f))
-        expected = _definable(f, levels[:depth], chain)
-        for a in all_partitions(2, 2):
-            assert fh_membership(a, f, levels, chain) == (a.labels in expected)
+    # the base {0, full} has one least open, so its one cell holds both points
+    for first in (up_sets(chain), frozenset({0, chain.full})):
+        levels = (first, powerset_base(chain))
+        for f in oracles.nested_forests(3, 2, 2, include_empty=False):
+            depth = max(1, nesting_level(f))
+            expected = _definable(f, levels[:depth], chain)
+            for a in all_partitions(2, 2):
+                assert fh_membership(a, f, levels, chain) == (a.labels in expected)
 
 
 def test_monotone_family_sufficiency():
@@ -726,6 +769,16 @@ def test_reduce_family_preserves_partition():
         reduce_family(fam, up_sets(diamond_space()), diamond_space())
 
 
+def test_reduce_family_refuses_a_base_that_is_not_closed():
+    # its least opens are nested, so the reduction property reads true, but
+    # the base lacks 0 and 0b10, so the two sets have no reduction in it
+    sp = antichain_space(2)
+    base = frozenset({0b11, 0b01})
+    fam = PFamily(parse_term("0|1"), 1, {((0,),): 0b11, ((1,),): 0b01})
+    with pytest.raises(SpaceError, match="not closed"):
+        reduce_family(fam, base, sp)
+
+
 def _reduced_by_all_pairs(fam):
     """Reference: monotone, with disjoint sets on incomparable nodes."""
     items = [(pfx[0], mask) for pfx, mask in fam.sets.items()]
@@ -793,6 +846,12 @@ def test_hierarchy_report_example():
     assert single["constituents"][0]["size"] == single["levels"][0]["size"]
     dot = report_to_dot(bigger)
     assert dot.startswith("digraph")
+
+
+def test_hierarchy_report_checks_colors_against_k():
+    chain = chain_space(2)
+    with pytest.raises(ForestError, match="color 5 out of range for k=2"):
+        hierarchy_report(chain, up_sets(chain), [parse_term("0*5")], 2)
 
 
 def test_hasse_edges_match_the_scan_over_all_triples():
