@@ -115,10 +115,10 @@ def load_omega_base(value: str, space):
         tuple(base_from_json(level, space.n) for level in data), space.n)
 
 
-def load_partition(value: str, k: int | None, forest: Forest, space):
-    """The KPartition of the space's points a forest is checked against;
-    the forest's colors must be below k.  Without k, k is the fewest colors
-    that admit both."""
+def load_partition(value: str, k: int | None, forest: Forest):
+    """The KPartition a forest is checked against; the forest's colors must
+    be below k.  Without k, k is the fewest colors that admit both.  The
+    membership calls check its size against the space."""
     from .space import KPartition
 
     data = _loads(_read_maybe_file(value).strip())
@@ -131,10 +131,7 @@ def load_partition(value: str, k: int | None, forest: Forest, space):
     if k is None:
         k = max(max(labels, default=0), max_color(forest)) + 1
     validate_forest(forest, k)
-    partition = KPartition(tuple(labels), k)
-    if partition.n != space.n:
-        raise SpaceError("partition size does not match the space")
-    return partition
+    return KPartition(tuple(labels), k)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +241,7 @@ def cmd_dh_check(args):
     space = load_space(args.space)
     base = load_base(args.base, space)
     forest = load_forest(args.forest)
-    partition = load_partition(args.partition, args.k, forest, space)
+    partition = load_partition(args.partition, args.k, forest)
     witness = dh_witness_family(partition, forest, base, space)
     out = {"member": witness is not None}
     if witness is not None:
@@ -258,7 +255,7 @@ def cmd_fh_check(args):
     space = load_space(args.space)
     levels = load_omega_base(args.omega_base, space)
     forest = load_forest(args.forest)
-    partition = load_partition(args.partition, args.k, forest, space)
+    partition = load_partition(args.partition, args.k, forest)
     return {"member": fh_membership(partition, forest, levels, space)}
 
 
@@ -274,7 +271,7 @@ def cmd_reduce_check(args):
     out: dict = {"reduction_property": has_reduction_property(base)}
     if not missing:
         forest = load_forest(args.forest)
-        partition = load_partition(args.partition, args.k, forest, space)
+        partition = load_partition(args.partition, args.k, forest)
         fam = dh_witness_family(partition, forest, base, space)
         out["member"] = fam is not None
         if fam is not None and out["reduction_property"]:

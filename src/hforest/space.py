@@ -186,19 +186,22 @@ def close_base(seed, n_points: int) -> Base:
     the least opens of its points (_least_opens), so the closure is the
     unions of the least opens, and its cost follows the size of the result.
     """
-    return _unions(set(_least_opens(seed, n_points).values()))
+    return _unions(_least_opens(seed, n_points))
 
 
 def _least_opens(sets, n_points: int) -> dict:
-    """Each point some set holds -> the meet of the sets holding it: the
-    least open of the point in the closure of the sets."""
+    """Each least open in the closure of the sets -> its class, the points
+    it is least for: a point's least open is the meet of the sets holding it."""
     opens: dict = {}
     for s in sets:
         if s >> n_points:
             raise SpaceError(f"set {s:b} has points outside the space")
         for p in _points_of(s):
             opens[p] = opens.get(p, s) & s
-    return opens
+    classes: dict = {}
+    for p, o in opens.items():
+        classes[o] = classes.get(o, 0) | 1 << p
+    return classes
 
 
 def _unions(sets) -> Base:
@@ -310,7 +313,7 @@ class KPartition(Record):
         return len(self.labels)
 
     def mask(self, color: int) -> int:
-        return _classes(self).get(color, 0)
+        return _classes(self, self.n).get(color, 0)
 
     @staticmethod
     def from_json(data, k: int) -> "KPartition":
@@ -418,6 +421,9 @@ def family_defines(fam: PFamily, space: FiniteSpace):
     Checks the chain condition at inner levels, consistency of colors on
     overlapping components, and that the top-level sets cover the space.
     """
+    for s in fam.sets.values():
+        if s >> space.n:
+            raise SpaceError(f"set {s:b} has points outside the space")
     prefixes = list(family_prefixes(fam.forest, fam.depth))
     below = _unions_below(fam.sets)
     new_parts = {pfx: fam.sets[pfx] & ~below.get(pfx, 0)
@@ -447,54 +453,40 @@ def family_defines(fam: PFamily, space: FiniteSpace):
 # the space, the label forest of every inner node has sets whose union is
 # that node's new part, and every deepest new part lies inside its color's
 # class.  A flat forest over a base B is the one-level case, over (B,).
-# One greedy pass decides every level (_greatest).  Children first, each
+# One greedy pass decides each level (_greatest).  Children first, each
 # node takes the union of the base sets inside (below | allowed) & target,
 # where below is its children's union and allowed the points its new part
 # may hold; as a base is closed under union, that is a base set holding
 # below.  By induction any other family's set at a node lies inside this
 # one's, so the target is reachable exactly when it is this union.  The
 # deepest level allows a node its color's class.  Above it, call the
-# target's points that share one least open there a cell:
+# points that share one least open at a level a cell of that level:
 # - A level's sets are unions of least opens: a new part is a union of cells.
-# - Each cell, an open minus the smaller opens, is in the next level, which
-#   holds the opens and their complements.
-# - So a label covers a new part exactly when it covers each cell in it,
-#   and allowed is the cells its label's greatest family covers a level
-#   down: fixed before the node's set is chosen.
+# - Each cell must be a set of the next level, and fh_membership refuses a
+#   cell that is not.  For closed levels that holds exactly when the next
+#   level holds this one and its complements (an omega-base): a cell is an
+#   open minus the smaller opens.
+# - So a label covers a new part exactly when it covers each cell in it.
+# - A cell of the next level lies inside a cell of this one or misses it,
+#   so what a label covers one level down does not depend on the target
+#   it is read in.  fh_membership decides the levels deepest first, each
+#   label once per level, and a node is allowed the cells its label covers.
 
 
-def _classes(a: KPartition) -> dict:
-    """Color -> class mask, for the colors that occur: k may be huge."""
+def _classes(a: KPartition, n_points: int) -> dict:
+    """Color -> class mask, for the colors that occur (k may be huge), of
+    a partition of the n_points points of a space."""
+    if len(a.labels) != n_points:
+        raise SpaceError("partition size does not match the space")
     classes: dict = {}
     for i, c in enumerate(a.labels):
         classes[c] = classes.get(c, 0) | 1 << i
     return classes
 
 
-def _greatest(forest: Forest, target: int, classes: dict, base: Base,
-              inner: tuple | None = None) -> tuple:
-    """The greatest family inside target: each distinct tree's set, and
-    the union of the sets.  Above the deepest level inner is (the next
-    level, omega_base, each inner level's least opens, memo of covers)."""
-    allowed = classes
-    if inner is not None:  # each label -> the cells it covers a level down
-        below, omega_base, opens, memo = inner
-        cells: dict = {}  # least open -> the target's points it is least for
-        for p, o in opens[below - 1].items():
-            if target >> p & 1:
-                cells[o] = cells.get(o, 0) | 1 << p
-        deeper = (below + 1, omega_base, opens, memo) if below < len(opens) else None
-        allowed = {}
-        for t in postorder(forest):
-            label, x = lift(t.label), 0
-            for cell in cells.values():
-                key = (label, cell, below)
-                if key not in memo:
-                    memo[key] = _greatest(label, cell, classes, omega_base[below],
-                                          deeper)[1] == cell
-                if memo[key]:
-                    x |= cell
-            allowed[t.label] = x
+def _greatest(forest: Forest, target: int, allowed: dict, base: Base) -> tuple:
+    """The greatest family inside target whose new parts lie in allowed,
+    by label: each distinct tree's set, and the union of the sets."""
     sets, top = {}, 0
     for t in postorder(forest):
         x = allowed.get(t.label)
@@ -520,28 +512,49 @@ def _greatest(forest: Forest, target: int, classes: dict, base: Base,
 
 def fh_membership(a: KPartition, forest: Forest, omega_base,
                   space: FiniteSpace) -> bool:
-    """Is the partition definable by a family over the omega-base?  One
-    greedy pass at every depth: a new part is a union of cells, each in the
-    next level, so a label covers it exactly when it covers each cell."""
+    """Is the partition definable by a family over the omega-base?
+
+    The levels must be closed, and each must hold the last and its
+    complements; a cell of one level that is not a set of the next is
+    refused.  Each level is one greedy pass, deepest first: a label covers
+    the cells of its level whose greatest family one level down is the cell.
+    """
+    allowed = _classes(a, space.n)
     forest = as_forest(forest)
     depth = max(1, nesting_level(forest))
     if depth > len(omega_base):
         raise SpaceError(
             f"nesting level {depth} exceeds the {len(omega_base)}-level base")
-    inner = None
-    if depth > 1:  # one memo for the call: (label forest, cell, level) -> cover
-        opens = []
-        for base in omega_base[:depth - 1]:
-            opens.append(_least_opens(base, space.n))
-        inner = (1, omega_base, opens, {})
+    if depth > 1:  # a flat call builds no layers and no least opens
+        layers, trees = [], forest  # per inner level: each label -> its forest
+        for _ in range(depth - 1):
+            labels: dict = {}
+            for t in postorder(trees):
+                labels[t.label] = lift(t.label)
+            layers.append(labels)
+            trees = sum(labels.values(), ())
+        for level in range(depth - 2, -1, -1):
+            next_level = omega_base[level + 1]
+            cells = _least_opens(omega_base[level], space.n).values()
+            for cell in cells:
+                if cell not in next_level:
+                    raise SpaceError("omega-base level must contain the previous "
+                                     "level and its complements")
+            covers: dict = {}
+            for label, lifted in layers[level].items():
+                covers[label] = 0
+                for cell in cells:
+                    if _greatest(lifted, cell, allowed, next_level)[1] == cell:
+                        covers[label] |= cell
+            allowed = covers
     full = space.full
-    return _greatest(forest, full, _classes(a), omega_base[0], inner)[1] == full
+    return _greatest(forest, full, allowed, omega_base[0])[1] == full
 
 
 def dh_membership(a: KPartition, forest: Forest, base: Base,
                   space: FiniteSpace) -> bool:
     """Is the partition definable by a family of base sets over the flat forest?"""
-    _, top = _greatest(as_forest(forest), space.full, _classes(a), base)
+    _, top = _greatest(as_forest(forest), space.full, _classes(a, space.n), base)
     return top == space.full
 
 
@@ -549,7 +562,7 @@ def dh_witness_family(a: KPartition, forest: Forest, base: Base,
                       space: FiniteSpace) -> PFamily | None:
     """The greatest family over the flat forest, if it defines the partition."""
     forest = as_forest(forest)
-    sets, top = _greatest(forest, space.full, _classes(a), base)
+    sets, top = _greatest(forest, space.full, _classes(a, space.n), base)
     if top != space.full:
         return None
     return PFamily(forest, 1, {(path,): sets[t] for path, t in paths(forest)})
@@ -639,7 +652,7 @@ def has_reduction_property(base: Base) -> bool:
       union of its points' least opens, a base set, and (a2, rest) is a
       reduction of (a, b).
     """
-    opens = set(_least_opens(base, max(base, default=0).bit_length()).values())
+    opens = _least_opens(base, max(base, default=0).bit_length())
     return all(x & y in (0, x, y) for x, y in combinations(opens, 2))
 
 

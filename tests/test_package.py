@@ -141,14 +141,16 @@ def test_the_text_slot_has_one_home():
 
 def test_the_input_checks_have_one_home():
     # from_pairs checks the point count, check_size_guard that k is at least
-    # 1, validate_forest the colors, and one writer draws both Hasse diagrams
+    # 1, the membership calls a partition's size, validate_forest the
+    # colors, and one writer draws both Hasse diagrams
     import inspect
 
     from hforest import nested, space
 
     package = pathlib.Path(hforest.__file__).parent
     for text in ("MAX_SPACE_POINTS", "the point count must be",
-                 "the number of colors must be"):
+                 "the number of colors must be",
+                 "partition size does not match the space"):
         users = sorted(p.name for p in package.glob("*.py") if text in p.read_text())
         assert users == ["space.py"], text
     assert list(inspect.signature(nested.parse_term).parameters) == ["text"]
@@ -243,16 +245,24 @@ def test_the_one_tree_folds_do_not_recurse():
 
 
 def test_membership_has_one_entry_and_no_closure():
-    # _greatest decides every level, the inner ones from the cells each
-    # label covers, so no union sweep is left; no function is built per call
+    # _greatest decides one level at a time, the inner ones deepest first
+    # from the cells each label covers, so no union sweep is left, and it
+    # neither recurses nor takes a parameter for the levels below; no
+    # function is built per call
+    import inspect
+
     from hforest import space
 
     for func in (space.fh_membership, space.dh_membership, space.dh_witness_family):
         assert "_greatest" in _names(func.__code__), func.__name__
     assert not hasattr(space, "_feasible") and not hasattr(space, "_joins")
+    params = inspect.signature(space._greatest).parameters
+    assert list(params) == ["forest", "target", "allowed", "base"]
+    assert all(p.default is p.empty for p in params.values())
     for func in (space.fh_membership, space._greatest):
         assert not any(hasattr(c, "co_code") for c in func.__code__.co_consts), \
             func.__name__
+        assert func.__name__ not in _names(func.__code__), func.__name__
 
 
 def test_each_normal_form_node_is_deduped_once():

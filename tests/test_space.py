@@ -368,6 +368,10 @@ def test_family_defines_examples():
     part, diag = family_defines(uncovered, chain)
     assert part is None and "not covered" in diag
 
+    outside = PFamily(singleton(0), 1, {((0,),): 0b111})
+    with pytest.raises(SpaceError, match="set 111 has points outside the space"):
+        family_defines(outside, chain)
+
 
 def test_dh_membership_examples():
     chain = chain_space(2)
@@ -386,6 +390,18 @@ def test_dh_membership_examples():
         dh_membership(constant, nested, base, chain)
     with pytest.raises(SpaceError):
         dh_witness_family(constant, nested, base, chain)
+
+
+def test_membership_refuses_a_partition_of_another_size():
+    # before any other check: a nested forest over one level is refused too
+    chain = chain_space(2)
+    base = up_sets(chain)
+    a = KPartition((0, 0, 0), 1)
+    for f in (parse_term("0"), parse_term("s(0)")):
+        for call, bases in ((dh_membership, base), (dh_witness_family, base),
+                            (fh_membership, (base,))):
+            with pytest.raises(SpaceError, match="partition size does not match the space"):
+                call(a, f, bases, chain)
 
 
 def test_dh_witness_matches_membership():
@@ -422,7 +438,8 @@ def _check_witness(a, f, base, sp):
 
 def test_membership_matches_reference():
     """The greedy pass answers as the back-pointer sweep, on samples of every
-    poset of at most 3 points, of 4- and 5-point posets, and of nested forests."""
+    poset of at most 3 points, of 4- and 5-point posets, and of nested forests
+    over random omega-bases on every poset of at most 4 points."""
     rng = random.Random(17)
     checked = members = 0
     forests = oracles.flat_forests(4, 3, include_empty=False)
@@ -465,18 +482,22 @@ def test_membership_matches_reference():
     # (points sharing one least open) of several points
     pools = {2: oracles.nested_forests(4, 2, 2, include_empty=False),
              3: oracles.nested_forests(3, 2, 3, include_empty=False)}
-    verdicts, widest = set(), 0
-    for sp in oracles.all_posets_up_to(3):
-        for _ in range(30):
+    # 30 omega-bases on every poset of at most 3 points, 4 on each of the
+    # 219 posets of 4 points
+    verdicts, widest = set(), [0] * 5
+    for sp in oracles.all_posets_up_to(4):
+        count, sample = (30, 6) if sp.n < 4 else (4, 4)
+        for _ in range(count):
             levels = _random_omega_base(rng, sp, rng.choice((2, 3)))
-            for f in rng.sample(pools[len(levels)], 6):
+            for f in rng.sample(pools[len(levels)], sample):
                 a = KPartition(tuple(rng.randrange(2) for _ in range(sp.n)), 2)
                 want = reference_member(a, f, levels, sp)
                 assert fh_membership(a, f, levels, sp) == want, (sp, levels, f, a)
-                verdicts.add(want)
+                verdicts.add((sp.n == 4, want))
                 if nesting_level(f) > 1:
-                    widest = max(widest, _widest_cell(levels[0], sp))
-    assert verdicts == {False, True} and widest >= 2
+                    widest[sp.n] = max(widest[sp.n], _widest_cell(levels[0], sp))
+    assert verdicts == set(product((False, True), repeat=2))
+    assert max(widest[:4]) >= 2 and widest[4] >= 2
 
 
 def _random_omega_base(rng, sp, depth):
@@ -650,6 +671,21 @@ def test_fh_examples():
     assert not fh_membership(bottom_is_1, (t_flat(1, PLAIN),), levels, chain)
     with pytest.raises(SpaceError):
         fh_membership(bottom_is_1, s_embed(parse_term("0*1")), (levels[0],), chain)
+
+
+def test_fh_membership_refuses_levels_that_are_not_nested():
+    # both levels are closed, but the second lacks {1}, a cell of the first
+    # and the complement of its set {0}: read as an omega-base, the greedy
+    # pass would answer unlike the definition
+    levels = (frozenset({0, 0b01, 0b11}), frozenset({0, 0b11}))
+    a, sp = KPartition((0, 0), 2), antichain_space(2)
+    nested = parse_term("s(0|1)")
+    assert reference_member(a, nested, levels, sp)
+    with pytest.raises(SpaceError, match="previous level and its complements"):
+        fh_membership(a, nested, levels, sp)
+    with pytest.raises(SpaceError, match="previous level and its complements"):
+        check_omega_nesting(levels, sp.n)
+    assert fh_membership(a, parse_term("0"), levels, sp)  # reads the first level
 
 
 def test_diff_sequence_round_trip():
