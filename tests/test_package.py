@@ -140,9 +140,10 @@ def test_the_text_slot_has_one_home():
 
 
 def test_the_input_checks_have_one_home():
-    # from_pairs checks the point count, check_size_guard that k is at least
-    # 1, the membership calls a partition's size, validate_forest the
-    # colors, and one writer draws both Hasse diagrams
+    # from_pairs checks the point count, _no_colors words k below 1 for
+    # check_size_guard and KPartition, the membership calls a partition's
+    # size, validate_forest the colors, and one writer draws both Hasse
+    # diagrams
     import inspect
 
     from hforest import nested, space
@@ -153,12 +154,23 @@ def test_the_input_checks_have_one_home():
                  "partition size does not match the space"):
         users = sorted(p.name for p in package.glob("*.py") if text in p.read_text())
         assert users == ["space.py"], text
+    for func in (space.check_size_guard, space.KPartition.__init__):
+        assert "_no_colors" in _names(func.__code__), func.__qualname__
     assert list(inspect.signature(nested.parse_term).parameters) == ["text"]
     modules = [importlib.import_module(f"hforest.{p.stem}")
                for p in package.glob("*.py") if p.stem != "__init__"]
     callers = {func for m in modules for func in vars(m).values()
                if hasattr(func, "__code__") and "hasse_edges" in _names(func.__code__)}
     assert callers == {space.hasse_dot}
+
+
+def test_the_poset_authority_checks_its_own_rows():
+    # all_posets hands each relation's rows to the FiniteSpace constructor,
+    # which checks every row, so it stays off from_pairs and its closure
+    from hforest import oracles
+
+    names = _names(oracles.all_posets.__code__)
+    assert "FiniteSpace" in names and "from_pairs" not in names
 
 
 def _names(code):

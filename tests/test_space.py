@@ -24,6 +24,7 @@ from hforest.space import (
     base_to_json,
     chain_space,
     check_omega_nesting,
+    check_size_guard,
     close_base,
     complements,
     diamond_space,
@@ -195,6 +196,43 @@ def test_space_checks_match_the_pairwise_reference():
     assert count == 66_066
 
 
+def test_from_pairs_matches_the_closed_rows_constructor():
+    # every relation of pairs i != j on up to 4 points, closed by a loop of
+    # the test's own: from_pairs checks only that the closed rows are
+    # distinct, so its space or its message must be the constructor's
+    count = 0
+    for n in range(5):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for bits in range(1 << len(pairs)):
+            chosen = [pair for idx, pair in enumerate(pairs) if bits >> idx & 1]
+            count += 1
+            up = [1 << i for i in range(n)]
+            for i, j in chosen:
+                up[i] |= 1 << j
+            grown = True
+            while grown:  # join each row with the rows of the points it holds
+                grown = False
+                for i in range(n):
+                    row = up[i]
+                    for j in range(n):
+                        if row >> j & 1:
+                            row |= up[j]
+                    grown |= row != up[i]
+                    up[i] = row
+            try:
+                expected = FiniteSpace(n, tuple(up))
+            except SpaceError as exc:
+                expected = str(exc)
+            try:
+                got = FiniteSpace.from_pairs(n, chosen)
+            except SpaceError as exc:
+                got = str(exc)
+            assert got == expected, (n, chosen)
+            if not isinstance(got, str):  # its down rows are made on first use
+                assert got.down == expected.down
+    assert count == 1 + 1 + 4 + 64 + 4096
+
+
 @pytest.mark.parametrize("le", [[[]], [[0]], [[0, 1, 1]], [[0, 1.0]],
                                 [["0", 1]], {"0": 1}, [7], "01", None])
 def test_space_json_pairs_must_be_point_pairs(le):
@@ -348,6 +386,16 @@ def test_partitions():
 def test_partition_labels_are_ints(labels, k):
     with pytest.raises(SpaceError, match="partition label out of range"):
         KPartition(labels, k)
+
+
+@pytest.mark.parametrize("labels", [(), (0,), (0, 1)])
+@pytest.mark.parametrize("k", [0, -1])
+def test_a_partition_needs_a_color(labels, k):
+    # the message check_size_guard gives, before any label is read
+    with pytest.raises(SpaceError, match=f"^the number of colors must be at least 1, not {k}$"):
+        KPartition(labels, k)
+    with pytest.raises(SpaceError, match=f"^the number of colors must be at least 1, not {k}$"):
+        check_size_guard(len(labels), k)
 
 
 def test_family_defines_examples():
@@ -699,6 +747,11 @@ def test_diff_sequence_round_trip():
     back = diff_sequence_to_family(seq, base, chain)
     part2, diag = family_defines(back, chain)
     assert diag is None and part2.labels == part.labels
+
+
+def test_diff_sequence_of_the_empty_family_is_refused():
+    with pytest.raises(SpaceError, match="non-empty forest"):
+        family_to_diff_sequence(PFamily((), 1, {}))
 
 
 def test_diff_sequence_on_a_deep_chain():
