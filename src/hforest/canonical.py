@@ -138,7 +138,7 @@ def representative(name: CanonicalName, flat: bool = False) -> Forest:
 
 def classify_2forest(f: Forest) -> CanonicalName:
     """The unique name among T_n, bar T_n, T_n|bar T_n matching a flat 2-forest."""
-    f = normalize(as_forest(f))
+    f = normalize(f)
     if not f:
         raise ForestError("the empty forest has no canonical name")
     name = _name(f)
@@ -150,7 +150,7 @@ def classify_2forest(f: Forest) -> CanonicalName:
 def classify_2tree_nested(f: Forest, size_bound: int) -> CanonicalName | None:
     """The name T_a or bar T_a of a nested 2-forest, or None when f has no
     such name whose canonical forest has canonical_size at most size_bound."""
-    name = _name(normalize(as_forest(f)))
+    name = _name(normalize(f))
     if name is None or name.kind == "TjoinTbar" or _t_size(name.index) > size_bound:
         return None
     return name

@@ -174,7 +174,8 @@ def _family_json(fam) -> list:
 
 
 def cmd_compare(args):
-    lhs, rhs = load_forest(args.lhs), load_forest(args.rhs)
+    # normal forms are h-equivalent to their forests and often far narrower
+    lhs, rhs = normalize(load_forest(args.lhs)), normalize(load_forest(args.rhs))
     return {"h_leq": h_leq(lhs, rhs), "h_geq": h_leq(rhs, lhs)}
 
 

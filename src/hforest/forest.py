@@ -15,6 +15,12 @@ term, and its tree_leq and meet_trees answers against other nodes, keyed
 by their serial ids.  So every memo dies with its node, and the module
 keeps no global cache; an answer about a node that has died is dropped
 by the next sweep of its table (_sweep).
+
+A normal form costs what its output costs: _dedupe compares each of the
+W roots it is given with the w roots it keeps, W x w pairs, not W x W.
+The forest normalize returns is a _Normal, a tuple marked as normal, and
+normalize hands a _Normal back as it is, so print_term, meet and the
+rest never normalize one forest twice.
 """
 
 from __future__ import annotations
@@ -396,33 +402,57 @@ def normalize(f: Forest) -> Forest:
     Components strictly below a sibling are dropped, duplicates merged and
     the rest sorted by a structural key.  Two forests are h-equivalent
     exactly when their normal forms are equal (``==``), at every nesting
-    level.  Idempotent.
+    level.  Idempotent: the result is a _Normal, and a _Normal is returned
+    as it is, so normalizing a normal form again costs one class test.
     """
-    return _dedupe([_normalize_tree(t) for t in as_forest(f)])
+    if f.__class__ is _Normal:
+        return f
+    return _Normal(_dedupe([_normalize_tree(t) for t in as_forest(f)]))
 
 
-def _dedupe(trees: list[Tree]) -> Forest:
+class _Normal(tuple):
+    """A forest that normalize made, so its own normal form.  It is a
+    tuple in every other respect: it compares, hashes and pickles as one,
+    and Tree copies it into a plain tuple as a label or as children."""
+
+    __slots__ = ()
+
+
+def _dedupe(trees: list[Tree]) -> list[Tree]:
     """The maximal trees among normal trees, each once, sorted.
 
-    Equivalent normal trees are one object, so set() merges each class,
-    and a tree below another one is strictly below it: two different
-    normal trees, each below the other, would be two normal forms of one
-    class.
+    Each tree is compared with the antichain kept so far, so the cost is
+    the number of trees times the number kept, not the number squared.
+    Equivalent normal trees are one object, and a tree below another one
+    is strictly below it: two different normal trees, each below the
+    other, would be two normal forms of one class.  So a tree that is a
+    kept one or below one is dropped, and otherwise it is kept and the
+    kept trees below it leave.
     """
-    reps = set(trees)
-    kept = []
-    for s in reps:
+    kept: list[Tree] = []
+    for s in trees:
         leq = s._leq
-        for t in reps:
-            if t is not s:
-                below = leq.get(t._id)
+        for t in kept:
+            if t is s:
+                break
+            below = leq.get(t._id)
+            if below is None:
+                below = tree_leq(s, t)
+            if below:
+                break
+        else:  # in place: a new list per kept tree cost the calculus build tail
+            sid = s._id
+            for i in reversed(range(len(kept))):
+                t = kept[i]
+                below = t._leq.get(sid)
                 if below is None:
-                    below = tree_leq(s, t)
+                    below = tree_leq(t, s)
                 if below:
-                    break
-        else:
+                    del kept[i]
             kept.append(s)
-    return tuple(sorted(kept, key=sort_key))
+    if len(kept) > 1:
+        kept.sort(key=sort_key)
+    return kept
 
 
 # The _norm slot of a tree that is its own normal form (a self-reference

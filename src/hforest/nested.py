@@ -395,8 +395,9 @@ def _parse(text: str) -> Forest:
 def print_term(f: Forest) -> str:
     """Render the normalized forest; parse_term inverts this exactly.
 
-    Each root of a normal form is rendered once in its lifetime: its term
-    waits in the root's _text slot, a str that keeps no node alive."""
+    A normal form (a forest normalize returned) is not normalized again,
+    and each of its roots is rendered once in its lifetime: its term waits
+    in the root's _text slot, a str that keeps no node alive."""
     roots = normalize(f)
     for t in roots:
         if t._text is None:

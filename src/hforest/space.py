@@ -174,7 +174,7 @@ def _point_count(n) -> int:
 def check_size_guard(n_points: int, k: int) -> None:
     """Refuse a job that enumerates k ** n_points partitions past the
     limits, or that has no color to give a point."""
-    if k < 1:
+    if k.__class__ is not int or k < 1:
         raise _no_colors(k)
     if n_points > POINT_LIMIT or k > COLOR_LIMIT:
         raise SpaceError(
@@ -183,7 +183,9 @@ def check_size_guard(n_points: int, k: int) -> None:
 
 
 def _no_colors(k) -> SpaceError:
-    return SpaceError(f"the number of colors must be at least 1, not {k}")
+    """The error for a number of colors that is not an int of at least 1."""
+    need = "at least 1" if k.__class__ is int else "an integer"
+    return SpaceError(f"the number of colors must be {need}, not {k!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +320,7 @@ class KPartition(Record):
     __slots__ = _fields = ("labels", "k")
 
     def __init__(self, labels: tuple, k: int):
-        if k < 1:
+        if k.__class__ is not int or k < 1:
             raise _no_colors(k)
         if not all(c.__class__ is int and 0 <= c < k for c in labels):
             raise SpaceError("partition label out of range")

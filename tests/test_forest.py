@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import json
 import os
 import pickle
@@ -10,7 +11,7 @@ import subprocess
 import sys
 import weakref
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -410,3 +411,82 @@ def test_answers_about_dead_nodes_are_swept():
                          text=True, timeout=120, check=True).stdout
     live, most = map(int, out.split())
     assert most <= 2 * live + 8
+
+
+def _alternating_chains(width):
+    """T_1 .. T_width: T_i is a chain of i nodes of alternating colors, so
+    each is the child of the next and below it.  The colors are ones no
+    other test uses, so no answer about these nodes is memoized yet."""
+    t = Tree(5)
+    out = [t]
+    for i in range(1, width):
+        t = Tree(9 if i % 2 else 5, (t,))
+        out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("rising, per_root", [(True, 2), (False, 1)])
+def test_dedupe_work_follows_its_output(monkeypatch, rising, per_root):
+    # the normal form of T_1 | ... | T_W is T_W alone: each root is compared
+    # with the one root kept so far, below it and above it, so the calls
+    # grow with W, not W squared
+    width = 60
+    chains = _alternating_chains(width)
+    calls = []
+    real = forest.tree_leq
+
+    def counted(s, t):
+        calls.append((s, t))
+        return real(s, t)
+
+    monkeypatch.setattr(forest, "tree_leq", counted)
+    assert normalize(tuple(chains if rising else reversed(chains))) == (chains[-1],)
+    assert len(calls) <= per_root * (width - 1)
+
+
+def test_a_normal_form_is_marked_and_passes_through(monkeypatch):
+    terms = ("bot", "0", "0*1|1*0|0|0*1", "s(0*1|1)*(0|1*0)|s(0*1)", "(0|1)*(0*1)|2")
+    forests = [parse_term(text) for text in terms]
+    normal = [normalize(f) for f in forests]
+    calls = []
+    real = forest._dedupe
+    monkeypatch.setattr(forest, "_dedupe", lambda trees: calls.append(trees) or real(trees))
+    for n in normal:
+        assert normalize(n) is n
+        print_term(n)
+    assert calls == []
+    for f, n in zip(forests, normal):
+        plain = tuple(n)
+        assert n == plain and hash(n) == hash(plain) and plain == normalize(plain)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(n, protocol))
+            assert back == n and all(a is b for a, b in zip(back, n))
+        for t in forest.every_node(n + f):
+            assert t.children.__class__ is tuple
+            assert t.label.__class__ in (int, tuple)
+
+
+def _word_forests(length):
+    """F, every word of the length over colors 0-2 as a chain; G, each
+    word reversed with 0 below it."""
+    words = ["*".join(w) for w in product("012", repeat=length)]
+    return "|".join(words), "|".join(w[::-1] + "*0" for w in words)
+
+
+def test_wide_forests_keep_their_answers():
+    # printed meets and normal forms and compare's verdicts, as the
+    # all-pairs _dedupe and compare on raw forests gave them
+    from argparse import Namespace
+
+    from hforest.cli import cmd_compare
+
+    digest = hashlib.sha256()
+    for length in (4, 5):
+        lhs, rhs = _word_forests(length)
+        f, g = parse_term(lhs), parse_term(rhs)
+        verdicts = cmd_compare(Namespace(lhs=lhs, rhs=rhs))
+        for part in (print_term(meet(f, g)), print_term(normalize(f)),
+                     repr(sorted(verdicts.items()))):
+            digest.update(part.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "a2e73493d8f75f811393da8241bbfacec907ff52a1adcc330dd50891f8f565c8")

@@ -282,3 +282,21 @@ def test_each_normal_form_node_is_deduped_once():
     from hforest import forest
 
     assert "normalize" not in _names(forest._normalize_tree.__code__)
+
+
+def test_only_normalize_marks_a_normal_form():
+    # a _Normal is taken as normal unseen, so nothing else may make one
+    from hforest import forest
+
+    package = pathlib.Path(hforest.__file__).parent
+    call = re.compile(r"(?<!class )\b_Normal\(")
+    users = sorted(p.name for p in package.glob("*.py") if call.search(p.read_text()))
+    assert users == ["forest.py"]
+    modules = [importlib.import_module(f"hforest.{p.stem}")
+               for p in package.glob("*.py") if p.stem != "__init__"]
+    namers = {func for m in modules for func in vars(m).values()
+              if hasattr(func, "__code__") and "_Normal" in _names(func.__code__)}
+    assert namers == {forest.normalize}
+    lines = [line.strip() for line in (package / "forest.py").read_text().splitlines()
+             if call.search(line)]
+    assert lines == ["return _Normal(_dedupe([_normalize_tree(t) for t in as_forest(f)]))"]

@@ -1,6 +1,7 @@
 """Finite spaces, bases, partitions, families and hierarchy membership."""
 
 import random
+import re
 import time
 from itertools import combinations, product
 
@@ -396,6 +397,16 @@ def test_a_partition_needs_a_color(labels, k):
         KPartition(labels, k)
     with pytest.raises(SpaceError, match=f"^the number of colors must be at least 1, not {k}$"):
         check_size_guard(len(labels), k)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, False, "x", None])
+def test_the_number_of_colors_is_an_int(k):
+    # a float or bool k was kept, and a str or None one leaked TypeError
+    message = f"^the number of colors must be an integer, not {re.escape(repr(k))}$"
+    with pytest.raises(SpaceError, match=message):
+        KPartition((0,), k)
+    with pytest.raises(SpaceError, match=message):
+        check_size_guard(1, k)
 
 
 def test_family_defines_examples():
