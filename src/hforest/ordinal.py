@@ -62,6 +62,7 @@ class Ord(Record):
         return 0
 
     def to_int(self) -> int:
+        """The natural number this finite ordinal is; ValueError if infinite."""
         if not self.is_finite():
             raise ValueError(f"{self} is not finite")
         return self.finite_part()
@@ -83,7 +84,7 @@ OMEGA = Ord(((ONE, 1),))
 
 
 def ord_of(n: int) -> Ord:
-    """The notation for a natural number."""
+    """The notation for a natural number; ValueError if n is negative."""
     if n < 0:
         raise ValueError("ordinals are non-negative")
     return Ord() if n == 0 else Ord(((ZERO, n),))

@@ -473,23 +473,23 @@ def family_defines(fam: PFamily, space: FiniteSpace):
 # that node's new part, and every deepest new part lies inside its color's
 # class.  A flat forest over a base B is the one-level case, over (B,).
 # One greedy pass decides each level (_greatest).  Children first, each
-# node takes the union of the base sets inside (below | allowed) & target,
-# where below is its children's union and allowed the points its new part
-# may hold; as a base is closed under union, that is a base set holding
-# below.  By induction any other family's set at a node lies inside this
-# one's, so the target is reachable exactly when it is this union.  The
-# deepest level allows a node its color's class.  Above it, call the
-# points that share one least open at a level a cell of that level:
-# - A level's sets are unions of least opens: a new part is a union of cells.
-# - Each cell must be a set of the next level, and fh_membership refuses a
-#   cell that is not.  For closed levels that holds exactly when the next
-#   level holds this one and its complements (an omega-base): a cell is an
-#   open minus the smaller opens.
-# - So a label covers a new part exactly when it covers each cell in it.
-# - A cell of the next level lies inside a cell of this one or misses it,
-#   so what a label covers one level down does not depend on the target
-#   it is read in.  fh_membership decides the levels deepest first, each
-#   label once per level, and a node is allowed the cells its label covers.
+# node takes the union of the base sets inside below | allowed, where
+# below is its children's union and allowed the points its new part may
+# hold; as a base is closed under union, that is a base set holding below.
+# By induction any other family's set at a node lies inside this one's,
+# so the space is covered exactly when this family covers it.  The
+# deepest level allows a node its color's class.  Above it, a label
+# allows U, the union of its greatest family F one level down:
+# - Call the points that share one least open at a level a cell of it.
+#   fh_membership refuses a cell that is not a set of the next level.
+#   When the first level covers the space, that holds exactly when the
+#   next level holds this one and its complements (an omega-base).
+# - A new part np is a union of cells, so a set of the next level, which
+#   is closed under intersection: F cut to np is a family inside np whose
+#   new parts lie in allowed, and any such family lies inside F.  So the
+#   label covers np exactly when np lies inside U.
+# - A new part one level up is a union of cells, so allowing U gives the
+#   same greatest family there as allowing the cells U holds.
 
 
 def _classes(a: KPartition, n_points: int) -> dict:
@@ -503,9 +503,9 @@ def _classes(a: KPartition, n_points: int) -> dict:
     return classes
 
 
-def _greatest(forest: Forest, target: int, allowed: dict, base: Base) -> tuple:
-    """The greatest family inside target whose new parts lie in allowed,
-    by label: each distinct tree's set, and the union of the sets."""
+def _greatest(forest: Forest, allowed: dict, base: Base) -> tuple:
+    """The greatest family whose new parts lie in allowed, by label: each
+    distinct tree's set, and the union of the sets."""
     sets, top = {}, 0
     for t in postorder(forest):
         x = allowed.get(t.label)
@@ -515,7 +515,6 @@ def _greatest(forest: Forest, target: int, allowed: dict, base: Base) -> tuple:
             x = 0
         for c in t.children:
             x |= sets[c]
-        x &= target
         if x not in base:  # take the union of the base sets inside x
             inside = 0
             for b in base:
@@ -535,8 +534,8 @@ def fh_membership(a: KPartition, forest: Forest, omega_base,
 
     The levels must be closed, and each must hold the last and its
     complements; a cell of one level that is not a set of the next is
-    refused.  Each level is one greedy pass, deepest first: a label covers
-    the cells of its level whose greatest family one level down is the cell.
+    refused.  Each level is one greedy pass per label, deepest first: a
+    label allows the union of its greatest family one level down.
     """
     allowed = _classes(a, space.n)
     forest = as_forest(forest)
@@ -554,26 +553,21 @@ def fh_membership(a: KPartition, forest: Forest, omega_base,
             trees = sum(labels.values(), ())
         for level in range(depth - 2, -1, -1):
             next_level = omega_base[level + 1]
-            cells = _least_opens(omega_base[level], space.n).values()
-            for cell in cells:
+            for cell in _least_opens(omega_base[level], space.n).values():
                 if cell not in next_level:
                     raise SpaceError("omega-base level must contain the previous "
                                      "level and its complements")
             covers: dict = {}
             for label, lifted in layers[level].items():
-                covers[label] = 0
-                for cell in cells:
-                    if _greatest(lifted, cell, allowed, next_level)[1] == cell:
-                        covers[label] |= cell
+                covers[label] = _greatest(lifted, allowed, next_level)[1]
             allowed = covers
-    full = space.full
-    return _greatest(forest, full, allowed, omega_base[0])[1] == full
+    return _greatest(forest, allowed, omega_base[0])[1] == space.full
 
 
 def dh_membership(a: KPartition, forest: Forest, base: Base,
                   space: FiniteSpace) -> bool:
     """Is the partition definable by a family of base sets over the flat forest?"""
-    _, top = _greatest(as_forest(forest), space.full, _classes(a, space.n), base)
+    _, top = _greatest(as_forest(forest), _classes(a, space.n), base)
     return top == space.full
 
 
@@ -581,7 +575,7 @@ def dh_witness_family(a: KPartition, forest: Forest, base: Base,
                       space: FiniteSpace) -> PFamily | None:
     """The greatest family over the flat forest, if it defines the partition."""
     forest = as_forest(forest)
-    sets, top = _greatest(forest, space.full, _classes(a, space.n), base)
+    sets, top = _greatest(forest, _classes(a, space.n), base)
     if top != space.full:
         return None
     return PFamily(forest, 1, {(path,): sets[t] for path, t in paths(forest)})

@@ -413,6 +413,96 @@ def test_answers_about_dead_nodes_are_swept():
     assert most <= 2 * live + 8
 
 
+_SWEPT_TABLES = """
+from hforest import forest
+from hforest.forest import _REFS, Tree, meet_trees, tree_leq
+
+swept = []
+sweep = forest._sweep
+
+
+def counted(memo):
+    swept.append(id(memo))
+    sweep(memo)
+
+
+forest._sweep = counted
+s = Tree(20, (Tree(21),))
+partners = [Tree(21), Tree(20, (Tree(21), Tree(22))), Tree(22, (s,)), Tree(23)]
+kept = {p: (tree_leq(s, p), meet_trees(s, p)) for p in partners}
+rounds = 0
+while not (id(s._leq) in swept and id(s._meet) in swept):  # both in one round
+    assert rounds < 100, "no round swept both tables"
+    swept.clear()
+    short = Tree(100 + rounds, (Tree(21),))  # each round's partner dies at the next
+    tree_leq(s, short)
+    meet_trees(s, short)
+    rounds += 1
+live = {t._id for ref in list(_REFS.values()) if (t := ref()) is not None}
+assert set(s._leq) <= live and set(s._meet) <= live
+for p, (below, m) in kept.items():
+    assert p._id in s._leq and p._id in s._meet
+    assert s._leq[p._id] is below and meet_trees(s, p) == m
+    del s._leq[p._id], s._meet[p._id]
+    assert tree_leq(s, p) is below and meet_trees(s, p) == m
+print(sorted(below for below, _ in kept.values()), rounds > len(live))
+"""
+
+
+def test_a_swept_table_keeps_its_live_answers():
+    # in a fresh process, so that few trees are live: short-lived partners
+    # push one node's tree_leq and meet_trees tables past twice the live
+    # count, and each sweep keeps exactly the answers about live partners
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(forest.__file__))}
+    out = subprocess.run([sys.executable, "-c", _SWEPT_TABLES], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[False, False, True, True] True\n", out.stdout
+
+
+_NORMAL_STEP = """
+import inspect
+import sys
+
+from hforest import forest
+from hforest.nested import parse_term, print_term
+
+code = forest._normalize_tree.__code__
+lines, first = inspect.getsourcelines(forest._normalize_tree)
+skip = first + next(i for i, line in enumerate(lines) if line.strip() == "continue")
+hits = []
+
+
+def trace(frame, event, arg):
+    if frame.f_code is not code:
+        return None
+
+    def line(frame, event, arg):
+        if event == "line" and frame.f_lineno == skip:
+            hits.append(skip)
+        return line
+
+    return line
+
+
+sys.settrace(trace)
+normal = forest.normalize(parse_term("13*(10*(11|12)|10*(10*11|12))"))
+sys.settrace(None)
+print(print_term(normal), len(hits))
+"""
+
+
+def test_a_node_made_normal_by_an_earlier_step_is_skipped():
+    # rule (a) turns 10*(10*11|12) into 10*(11|12), a node the walk of the
+    # same call reaches later, already marked normal; the colors are ones
+    # no other test uses, and a fresh process keeps no parse memo
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(forest.__file__))}
+    out = subprocess.run([sys.executable, "-c", _NORMAL_STEP], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["13*10*(11|12)", "1"]
+
+
 def _alternating_chains(width):
     """T_1 .. T_width: T_i is a chain of i nodes of alternating colors, so
     each is the child of the next and below it.  The colors are ones no

@@ -257,9 +257,10 @@ def test_the_one_tree_folds_do_not_recurse():
 
 
 def test_membership_has_one_entry_and_no_closure():
-    # _greatest decides one level at a time, the inner ones deepest first
-    # from the cells each label covers, so no union sweep is left, and it
-    # neither recurses nor takes a parameter for the levels below; no
+    # _greatest decides one level at a time over the whole space, the inner
+    # ones deepest first, each label allowed the union of its greatest
+    # family one level down, so no union sweep is left, and it neither
+    # recurses nor takes a parameter for the levels below or a target; no
     # function is built per call
     import inspect
 
@@ -269,12 +270,86 @@ def test_membership_has_one_entry_and_no_closure():
         assert "_greatest" in _names(func.__code__), func.__name__
     assert not hasattr(space, "_feasible") and not hasattr(space, "_joins")
     params = inspect.signature(space._greatest).parameters
-    assert list(params) == ["forest", "target", "allowed", "base"]
+    assert list(params) == ["forest", "allowed", "base"]
     assert all(p.default is p.empty for p in params.values())
     for func in (space.fh_membership, space._greatest):
         assert not any(hasattr(c, "co_code") for c in func.__code__.co_consts), \
             func.__name__
         assert func.__name__ not in _names(func.__code__), func.__name__
+
+
+def test_nested_membership_makes_one_pass_per_inner_label(monkeypatch):
+    # one pass for each distinct label of the top level, then one for the
+    # forest itself, not one per label and cell of the level below
+    from hforest import space
+    from hforest.forest import postorder
+    from hforest.nested import parse_term
+
+    calls = []
+    greatest = space._greatest
+
+    def counted(*args):
+        calls.append(args)
+        return greatest(*args)
+
+    monkeypatch.setattr(space, "_greatest", counted)
+    diamond = space.diamond_space()
+    levels = (space.up_sets(diamond), space.powerset_base(diamond))
+    forest = parse_term("(0*1)*((1*0)|(0*1)|s(0|1))")
+    passes = len({t.label for t in postorder(forest)}) + 1
+    assert passes == 5
+    for a in space.all_partitions(diamond.n, 2):
+        calls.clear()
+        space.fh_membership(a, forest, levels, diamond)
+        assert len(calls) == passes, a.labels
+
+
+def _flat_only_family():
+    from hforest.nested import parse_term
+    from hforest.space import PFamily
+
+    return PFamily(parse_term("s(0)"), 2, {((0,),): 1, ((0,), (0,)): 1})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    ("space.base_from_json([[5]], 2)", "SpaceError", "point 5 out of range"),
+    ("space.KPartition.from_json({}, 2)", "SpaceError",
+     "partition JSON must have 'labels'"),
+    ("space.difference_kernel(2, [1])", "SpaceError", "expected 2 sets, got 1"),
+    ("list(space.family_prefixes(nested.parse_term('s(0|1)'), 1))", "SpaceError",
+     "nesting level 2 exceeds depth 1"),
+    ("space.family_to_diff_sequence(_flat_only_family())", "SpaceError",
+     "difference sequences need a flat family"),
+    ("space.is_reduced(_flat_only_family())", "SpaceError",
+     "the reduced predicate is implemented for flat families"),
+    ("space.reduce_family(_flat_only_family(), space.up_sets(space.chain_space(1)),"
+     " space.chain_space(1))", "SpaceError",
+     "reduce_family is implemented for flat families"),
+    ("space.diff_sequence_to_family((0b01,), space.up_sets(space.chain_space(2)),"
+     " space.chain_space(2))", "SpaceError", "sequence set is not in the base"),
+    ("canonical.t_flat(-1)", "ForestError", "index must be non-negative"),
+    ("nested.unflatten(nested.LabeledNPreorder(2, ((0b11, 0b11),), (0, 1)))",
+     "ForestError", "layer 0 class has mixed colors"),
+    ("ordinal.parse_ordinal('w^(1')", "OrdinalSyntaxError", "expected ')'"),
+    ("ordinal.parse_ordinal('w*0')", "OrdinalSyntaxError",
+     "coefficient must be positive"),
+    ("ordinal.ord_of(-1)", "ValueError", "ordinals are non-negative"),
+    ("ordinal.OMEGA.to_int()", "ValueError", "w is not finite"),
+])
+def test_the_library_refuses_with_its_own_errors(call, error, message):
+    # each public call refuses a hostile value of its documented type with
+    # the library's error, or the ValueError its docstring names
+    from hforest import canonical, errors, nested, ordinal, space
+
+    scope = {"canonical": canonical, "nested": nested, "ordinal": ordinal,
+             "space": space, "_flat_only_family": _flat_only_family}
+    with pytest.raises(ValueError, match=re.escape(message)) as caught:
+        eval(call, scope)
+    assert type(caught.value) is getattr(errors, error, ValueError)
+    if error == "ValueError":
+        name = call.split("(")[0].split(".")[-1]
+        func = getattr(ordinal, name, getattr(ordinal.Ord, name, None))
+        assert "ValueError" in func.__doc__, call
 
 
 def test_each_normal_form_node_is_deduped_once():

@@ -747,6 +747,19 @@ def test_fh_membership_refuses_levels_that_are_not_nested():
     assert fh_membership(a, parse_term("0"), levels, sp)  # reads the first level
 
 
+def test_the_cell_check_passes_levels_whose_first_misses_a_point():
+    # the first level misses point 1, so its one cell {0} is a set of the
+    # next level though the complement {1} is not: the cell check passes
+    # and the pass answers as the reference, where the nesting check
+    # refuses; the two checks agree where the first level covers the space
+    levels = (frozenset({0, 0b01}), frozenset({0, 0b01}))
+    a, sp, forest = KPartition((0, 0), 2), antichain_space(2), parse_term("s(0|1)")
+    assert fh_membership(a, forest, levels, sp) is False
+    assert reference_member(a, forest, levels, sp) is False
+    with pytest.raises(SpaceError, match="previous level and its complements"):
+        check_omega_nesting(levels, sp.n)
+
+
 def test_diff_sequence_round_trip():
     chain = chain_space(2)
     base = up_sets(chain)
