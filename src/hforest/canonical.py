@@ -66,11 +66,18 @@ def swap_colors(f: Forest) -> Forest:
     return tuple(swapped[t] for t in as_forest(f))
 
 
+def _is_bar(polarity: str) -> bool:
+    """Whether the polarity is BAR; any other than PLAIN or BAR is refused."""
+    if polarity not in (PLAIN, BAR):
+        raise ForestError(f"unknown polarity {polarity!r}")
+    return polarity == BAR
+
+
 def t_flat(n: int, polarity: str = PLAIN) -> Tree:
     """The alternating chain of rank n; bar starts with color 1."""
     if n < 0:
         raise ForestError("index must be non-negative")
-    start = 0 if polarity == PLAIN else 1
+    start = _is_bar(polarity)
     t = Tree((start + n) % 2)
     for depth in range(n - 1, -1, -1):
         t = Tree((start + depth) % 2, (t,))
@@ -79,7 +86,7 @@ def t_flat(n: int, polarity: str = PLAIN) -> Tree:
 
 def t_nested(a: Ord, polarity: str = PLAIN) -> Forest:
     """The canonical nested 2-forest named by the notation a."""
-    return _t_pair(a)[polarity == BAR]
+    return _t_pair(a)[_is_bar(polarity)]
 
 
 @lru_cache(maxsize=None)

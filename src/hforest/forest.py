@@ -523,17 +523,14 @@ def meet_trees(s: Tree, t: Tree) -> Forest:
         elif tree_leq(t, s):
             m = (t,)
         else:
-            below = join(_meet_tree_forest(s, t.children), _meet_tree_forest(t, s.children))
+            below = join(*(meet_trees(s, c) for c in t.children),
+                         *(meet_trees(t, c) for c in s.children))
             label = label_meet(s.label, t.label)
             m = normalize((Tree(label, below),) if label is not None else below)
         memo[t._id] = _SELF if m == (s,) else m
         if len(memo) > 2 * len(_REFS):
             _sweep(memo)
     return (s,) if m is _SELF else m
-
-
-def _meet_tree_forest(s: Tree, g: Forest) -> Forest:
-    return join(*(meet_trees(s, t) for t in g))
 
 
 def label_meet(a: Label, b: Label) -> Label | None:

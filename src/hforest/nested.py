@@ -109,6 +109,10 @@ def flatten(f: Forest, depth: int) -> LabeledNPreorder:
     depth) pairs whose preorder has at most MEMO_FLAT_ELEMENTS elements
     return one shared preorder; errors are raised afresh.
     """
+    if depth.__class__ is not int:
+        raise ForestError(f"depth must be an integer, not {depth!r}")
+    if depth < 1:
+        raise ForestError("depth must be positive")
     key = (as_forest(f), depth)
     x = _FLATS.get(key)
     if x is None:
@@ -126,8 +130,6 @@ _FLATS: dict = {}
 
 def _flatten(f: Forest, depth: int) -> LabeledNPreorder:
     """flatten's walk."""
-    if depth < 1:
-        raise ForestError("depth must be positive")
     # One walk, parents first, gives every node occurrence an id and every
     # element its node ids by level; a <=_i b iff b's is a's or above it.
     parent, elems, labels = [], [], []  # node -> parent; element -> ids, color

@@ -25,8 +25,8 @@ MAX_ORDINAL_DEPTH = 250
 @total_ordering
 class Ord(Record):
     """An ordinal notation in Cantor normal form over w: terms is a tuple
-    of (exponent Ord, coefficient) pairs.  The hash is computed once, as
-    memo caches key on notations whose exponents are notations."""
+    of (exponent Ord, int >= 1) pairs, exponents strictly decreasing, or
+    ValueError.  The hash, recursive in the exponents, is computed once."""
 
     _fields = ("terms",)
     __slots__ = ("terms", "_hash")
@@ -124,7 +124,7 @@ def succ(a: Ord) -> Ord:
 
 
 def pred(a: Ord) -> Ord:
-    """The b with succ(b) = a; error if a is zero or a limit."""
+    """The b with succ(b) = a; ValueError if a is zero or a limit."""
     if not a.terms or not a.terms[-1][0].is_zero():
         raise ValueError(f"{a} is not a successor")
     exp, coeff = a.terms[-1]

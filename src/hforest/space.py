@@ -203,22 +203,19 @@ def close_base(seed, n_points: int) -> Base:
     the least opens of its points (_least_opens), so the closure is the
     unions of the least opens, and its cost follows the size of the result.
     """
-    return _unions(_least_opens(seed, n_points))
+    return _unions(_least_opens(seed, _point_count(n_points)))
 
 
-def _least_opens(sets, n_points: int) -> dict:
-    """Each least open in the closure of the sets -> its class, the points
-    it is least for: a point's least open is the meet of the sets holding it."""
+def _least_opens(sets, n_points: int) -> set:
+    """The least opens in the closure of the sets: a point's least open is
+    the meet of the sets holding it."""
     opens: dict = {}
     for s in sets:
         if s >> n_points:
             raise SpaceError(f"set {s:b} has points outside the space")
         for p in _points_of(s):
             opens[p] = opens.get(p, s) & s
-    classes: dict = {}
-    for p, o in opens.items():
-        classes[o] = classes.get(o, 0) | 1 << p
-    return classes
+    return set(opens.values())
 
 
 def _unions(sets) -> Base:
@@ -269,8 +266,12 @@ def validate_omega_base(levels, n_points: int) -> tuple:
 
 
 def check_omega_nesting(levels: tuple, n_points: int) -> tuple:
-    """Closed levels as an omega-base: each holds the last and its complements."""
+    """Closed levels as an omega-base: each holds the last and its
+    complements, and each below the last has no set outside the space."""
     for lower, upper in zip(levels, levels[1:]):
+        for s in lower:
+            if s >> n_points:
+                raise SpaceError(f"set {s:b} has points outside the space")
         if not (lower | complements(lower, n_points)) <= upper:
             raise SpaceError(
                 "omega-base level must contain the previous level and its complements"
@@ -397,6 +398,8 @@ class PFamily(Record):
 
 def family_prefixes(forest: Forest, depth: int):
     """Yield (prefix, level, color or None); color set on full-depth prefixes."""
+    if depth.__class__ is not int:
+        raise SpaceError(f"depth must be an integer, not {depth!r}")
     if depth < 1:
         raise SpaceError("depth must be positive")
     nesting = nesting_level(forest)
@@ -479,17 +482,13 @@ def family_defines(fam: PFamily, space: FiniteSpace):
 # By induction any other family's set at a node lies inside this one's,
 # so the space is covered exactly when this family covers it.  The
 # deepest level allows a node its color's class.  Above it, a label
-# allows U, the union of its greatest family F one level down:
-# - Call the points that share one least open at a level a cell of it.
-#   fh_membership refuses a cell that is not a set of the next level.
-#   When the first level covers the space, that holds exactly when the
-#   next level holds this one and its complements (an omega-base).
-# - A new part np is a union of cells, so a set of the next level, which
-#   is closed under intersection: F cut to np is a family inside np whose
-#   new parts lie in allowed, and any such family lies inside F.  So the
-#   label covers np exactly when np lies inside U.
-# - A new part one level up is a union of cells, so allowing U gives the
-#   same greatest family there as allowing the cells U holds.
+# allows U, the union of its greatest family F one level down.  That is
+# exact on an omega-base, which fh_membership checks (check_omega_nesting):
+# a new part np is a set a of its level less a union b of them, and the
+# next level holds a and ~b and is closed under intersection, so it holds
+# np.  So F cut to np is a family inside np whose new parts lie in
+# allowed, and any such family lies inside F: the label covers np exactly
+# when np lies inside U.
 
 
 def _classes(a: KPartition, n_points: int) -> dict:
@@ -532,10 +531,10 @@ def fh_membership(a: KPartition, forest: Forest, omega_base,
                   space: FiniteSpace) -> bool:
     """Is the partition definable by a family over the omega-base?
 
-    The levels must be closed, and each must hold the last and its
-    complements; a cell of one level that is not a set of the next is
-    refused.  Each level is one greedy pass per label, deepest first: a
-    label allows the union of its greatest family one level down.
+    The levels must be closed, and the levels the forest reaches must
+    each hold the last and its complements (check_omega_nesting).  Each
+    level is one greedy pass per label, deepest first: a label allows the
+    union of its greatest family one level down.
     """
     allowed = _classes(a, space.n)
     forest = as_forest(forest)
@@ -543,24 +542,18 @@ def fh_membership(a: KPartition, forest: Forest, omega_base,
     if depth > len(omega_base):
         raise SpaceError(
             f"nesting level {depth} exceeds the {len(omega_base)}-level base")
-    if depth > 1:  # a flat call builds no layers and no least opens
+    if depth > 1:  # a flat call builds no layers and checks no nesting
+        check_omega_nesting(omega_base[:depth], space.n)
         layers, trees = [], forest  # per inner level: each label -> its forest
         for _ in range(depth - 1):
-            labels: dict = {}
+            layers.append(labels := {})
             for t in postorder(trees):
                 labels[t.label] = lift(t.label)
-            layers.append(labels)
             trees = sum(labels.values(), ())
         for level in range(depth - 2, -1, -1):
-            next_level = omega_base[level + 1]
-            for cell in _least_opens(omega_base[level], space.n).values():
-                if cell not in next_level:
-                    raise SpaceError("omega-base level must contain the previous "
-                                     "level and its complements")
-            covers: dict = {}
+            allowed, deeper = {}, allowed
             for label, lifted in layers[level].items():
-                covers[label] = _greatest(lifted, allowed, next_level)[1]
-            allowed = covers
+                allowed[label] = _greatest(lifted, deeper, omega_base[level + 1])[1]
     return _greatest(forest, allowed, omega_base[0])[1] == space.full
 
 

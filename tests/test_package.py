@@ -140,13 +140,14 @@ def test_the_text_slot_has_one_home():
 
 
 def test_the_input_checks_have_one_home():
-    # from_pairs checks the point count, _no_colors words k below 1 for
-    # check_size_guard and KPartition, the membership calls a partition's
-    # size, validate_forest the colors, and one writer draws both Hasse
-    # diagrams
+    # from_pairs checks the point count, as close_base does through the
+    # same _point_count, _no_colors words k below 1 for check_size_guard
+    # and KPartition, the membership calls a partition's size,
+    # validate_forest the colors, _is_bar the polarity of both canonical
+    # builders, and one writer draws both Hasse diagrams
     import inspect
 
-    from hforest import nested, space
+    from hforest import canonical, nested, space
 
     package = pathlib.Path(hforest.__file__).parent
     for text in ("MAX_SPACE_POINTS", "the point count must be",
@@ -156,6 +157,9 @@ def test_the_input_checks_have_one_home():
         assert users == ["space.py"], text
     for func in (space.check_size_guard, space.KPartition.__init__):
         assert "_no_colors" in _names(func.__code__), func.__qualname__
+    assert "_point_count" in _names(space.close_base.__code__)
+    for func in (canonical.t_flat, canonical.t_nested):
+        assert "_is_bar" in _names(func.__code__), func.__name__
     assert list(inspect.signature(nested.parse_term).parameters) == ["text"]
     modules = [importlib.import_module(f"hforest.{p.stem}")
                for p in package.glob("*.py") if p.stem != "__init__"]
@@ -196,6 +200,7 @@ def test_a_bases_order_is_read_from_the_least_opens():
 
     for func in (space.close_base, space.has_reduction_property):
         assert "_least_opens" in _names(func.__code__), func.__name__
+    assert space._least_opens([0b011, 0b110], 3) == {0b011, 0b010, 0b110}
     assert "reduce_pair" not in _names(space.has_reduction_property.__code__)
     assert "reduce_pair" in _names(oracles.oracle_reduction_property.__code__)
 
@@ -268,6 +273,10 @@ def test_membership_has_one_entry_and_no_closure():
 
     for func in (space.fh_membership, space.dh_membership, space.dh_witness_family):
         assert "_greatest" in _names(func.__code__), func.__name__
+    # the levels are checked as an omega-base by the one validator, not by
+    # a second rule over their least opens
+    names = _names(space.fh_membership.__code__)
+    assert "check_omega_nesting" in names and "_least_opens" not in names
     assert not hasattr(space, "_feasible") and not hasattr(space, "_joins")
     params = inspect.signature(space._greatest).parameters
     assert list(params) == ["forest", "allowed", "base"]
@@ -335,6 +344,17 @@ def _flat_only_family():
      "coefficient must be positive"),
     ("ordinal.ord_of(-1)", "ValueError", "ordinals are non-negative"),
     ("ordinal.OMEGA.to_int()", "ValueError", "w is not finite"),
+    ("space.PFamily(nested.parse_term('0'), 1.5, {})", "SpaceError",
+     "depth must be an integer, not 1.5"),
+    ("nested.flatten(nested.parse_term('0'), 1.5)", "ForestError",
+     "depth must be an integer, not 1.5"),
+    ("canonical.t_flat(2, 'x')", "ForestError", "unknown polarity 'x'"),
+    ("canonical.t_nested(ordinal.ord_of(2), 'x')", "ForestError",
+     "unknown polarity 'x'"),
+    ("space.close_base([1], -1)", "SpaceError",
+     "the point count must be a non-negative integer"),
+    ("ordinal.Ord(((ordinal.ZERO, 0),))", "ValueError", "bad CNF term"),
+    ("ordinal.pred(ordinal.ZERO)", "ValueError", "0 is not a successor"),
 ])
 def test_the_library_refuses_with_its_own_errors(call, error, message):
     # each public call refuses a hostile value of its documented type with

@@ -1,5 +1,6 @@
 """Finite spaces, bases, partitions, families and hierarchy membership."""
 
+import hashlib
 import random
 import re
 import time
@@ -733,9 +734,9 @@ def test_fh_examples():
 
 
 def test_fh_membership_refuses_levels_that_are_not_nested():
-    # both levels are closed, but the second lacks {1}, a cell of the first
-    # and the complement of its set {0}: read as an omega-base, the greedy
-    # pass would answer unlike the definition
+    # both levels are closed, but the second lacks {1}, the complement of
+    # the first level's set {0}: read as an omega-base, the greedy pass
+    # would answer unlike the definition
     levels = (frozenset({0, 0b01, 0b11}), frozenset({0, 0b11}))
     a, sp = KPartition((0, 0), 2), antichain_space(2)
     nested = parse_term("s(0|1)")
@@ -747,17 +748,107 @@ def test_fh_membership_refuses_levels_that_are_not_nested():
     assert fh_membership(a, parse_term("0"), levels, sp)  # reads the first level
 
 
-def test_the_cell_check_passes_levels_whose_first_misses_a_point():
-    # the first level misses point 1, so its one cell {0} is a set of the
-    # next level though the complement {1} is not: the cell check passes
-    # and the pass answers as the reference, where the nesting check
-    # refuses; the two checks agree where the first level covers the space
+def test_levels_whose_first_misses_a_point_are_refused():
+    # the first level misses point 1; the next holds its set {0} but not
+    # the complement {1}, so the pair is no omega-base, and fh_membership
+    # refuses it with check_omega_nesting's error
     levels = (frozenset({0, 0b01}), frozenset({0, 0b01}))
     a, sp, forest = KPartition((0, 0), 2), antichain_space(2), parse_term("s(0|1)")
-    assert fh_membership(a, forest, levels, sp) is False
     assert reference_member(a, forest, levels, sp) is False
     with pytest.raises(SpaceError, match="previous level and its complements"):
+        fh_membership(a, forest, levels, sp)
+    with pytest.raises(SpaceError, match="previous level and its complements"):
         check_omega_nesting(levels, sp.n)
+
+
+def test_nested_membership_refuses_what_the_nesting_check_refuses():
+    """On seeded random closed level pairs, the second level holding the
+    first and, for half of them, its complements: a nested call is refused
+    exactly when check_omega_nesting refuses the levels, with its message,
+    and every answer is the reference's."""
+    rng = random.Random(35)
+    nested = [f for f in oracles.nested_forests(3, 2, 2, include_empty=False)
+              if nesting_level(f) == 2]
+    seen = set()
+    for sp in oracles.all_posets_up_to(3):
+        for i in range(16):
+            first = close_base([rng.randrange(sp.full + 1)
+                                for _ in range(rng.randint(1, 2))], sp.n)
+            seed = [*first, *(rng.randrange(sp.full + 1) for _ in range(rng.randrange(3)))]
+            if i % 2:
+                seed += complements(first, sp.n)
+            levels = (first, close_base(seed, sp.n))
+            try:
+                check_omega_nesting(levels, sp.n)
+                message = None
+            except SpaceError as error:
+                message = str(error)
+            covered = max(first) == sp.full
+            for f in rng.sample(nested, 4):
+                a = KPartition(tuple(rng.randrange(2) for _ in range(sp.n)), 2)
+                if message is None:
+                    assert fh_membership(a, f, levels, sp) == \
+                        reference_member(a, f, levels, sp), (sp, levels, f, a)
+                else:
+                    with pytest.raises(SpaceError) as caught:
+                        fh_membership(a, f, levels, sp)
+                    assert str(caught.value) == message
+                seen.add((covered, message is None))
+    assert seen == set(product((False, True), repeat=2))
+
+
+def test_a_lower_level_set_outside_the_space_is_refused():
+    # the next level holds the set, so only this refusal stops the call
+    levels = (frozenset({0, 0b1, 0b11, 0b111}), frozenset(range(8)))
+    a, sp = KPartition((0, 1), 2), chain_space(2)
+    with pytest.raises(SpaceError, match="set 111 has points outside the space"):
+        fh_membership(a, parse_term("s(0|1)"), levels, sp)
+
+
+def test_the_nesting_check_refuses_a_set_outside_the_space():
+    levels = (frozenset({0, 0b1, 0b11, 0b111}), frozenset(range(8)))
+    with pytest.raises(SpaceError, match="set 111 has points outside the space"):
+        check_omega_nesting(levels, 2)
+    assert check_omega_nesting(levels[1:], 2) == levels[1:]  # the last is as given
+
+
+# SHA-256 of the answers below and their count, computed when
+# fh_membership checked each level's cells rather than its nesting; both
+# designs give it, and any change to fh_membership must keep it
+SAME_ANSWERS_SHA256 = (
+    "7ec0bb03a129697e31a66b5ce3110d55bc05d34eb7756398424e41943acc797a", 136824)
+
+
+def _same_answers_digest():
+    """Every fh_membership answer or refusal, in a fixed order, over every
+    poset of at most 3 points with [up_sets, powerset] and 4 seeded closed
+    2-3-level omega-bases, every nested forest of at most 3 nodes at the
+    levels' depth and every 2-partition; and the number of queries."""
+    rng = random.Random(2035)
+    pools = {2: oracles.nested_forests(3, 2, 2), 3: oracles.nested_forests(3, 2, 3)}
+    digest, queries = hashlib.sha256(), 0
+    for sp in oracles.all_posets_up_to(3):
+        bases = [(up_sets(sp), powerset_base(sp))]
+        bases += [_random_omega_base(rng, sp, rng.choice((2, 3))) for _ in range(4)]
+        partitions = list(all_partitions(sp.n, 2))
+        for levels in bases:
+            for f in pools[len(levels)]:
+                for a in partitions:
+                    try:
+                        answer = "1" if fh_membership(a, f, levels, sp) else "0"
+                    except SpaceError as error:
+                        answer = str(error)
+                    digest.update(answer.encode() + b"\n")
+                    queries += 1
+    return digest.hexdigest(), queries
+
+
+def test_fh_membership_keeps_its_answers():
+    start = time.perf_counter()
+    digest, queries = _same_answers_digest()
+    seconds = time.perf_counter() - start
+    print(f"{queries} fh_membership queries in {seconds:.2f} s")
+    assert (digest, queries) == SAME_ANSWERS_SHA256, seconds
 
 
 def test_diff_sequence_round_trip():
