@@ -21,6 +21,7 @@ from functools import lru_cache
 from operator import attrgetter
 
 from ._record import Record, set_field
+from .errors import check_count
 from .forest import (
     Forest,
     ForestError,
@@ -74,9 +75,10 @@ def _is_bar(polarity: str) -> bool:
 
 
 def t_flat(n: int, polarity: str = PLAIN) -> Tree:
-    """The alternating chain of rank n; bar starts with color 1."""
-    if n < 0:
-        raise ForestError("index must be non-negative")
+    """The alternating chain of rank n; bar starts with color 1.  ForestError
+    if n is not an int (a bool is not one), if n is negative, or if the
+    polarity is neither PLAIN nor BAR."""
+    check_count(n, "index", ForestError, 0, "index must be non-negative")
     start = _is_bar(polarity)
     t = Tree((start + n) % 2)
     for depth in range(n - 1, -1, -1):
@@ -155,8 +157,9 @@ def classify_2forest(f: Forest) -> CanonicalName:
 
 
 def classify_2tree_nested(f: Forest, size_bound: int) -> CanonicalName | None:
-    """The name T_a or bar T_a of a nested 2-forest, or None when f has no
-    such name whose canonical forest has canonical_size at most size_bound."""
+    """The name T_a or bar T_a of a nested 2-forest, or None when f has
+    none whose canonical forest's canonical_size is at most the int size_bound."""
+    check_count(size_bound, "the size bound", ForestError)
     name = _name(normalize(f))
     if name is None or name.kind == "TjoinTbar" or _t_size(name.index) > size_bound:
         return None

@@ -21,7 +21,8 @@ from types import SimpleNamespace
 
 from .errors import ForestError, OrdinalSyntaxError, SpaceError, TermSyntaxError
 from .forest import (Forest, forest_from_json, forest_to_json, h_leq, join,
-                     max_color, meet, normalize, paths, validate_forest)
+                     max_color, meet, normalize, paths, postorder,
+                     validate_forest)
 from .nested import flatten, nesting_level, parse_term, print_term
 
 EXIT_OK = 0
@@ -31,6 +32,13 @@ EXIT_SYNTAX = 2
 # Most nodes `canonical` builds, counted by canonical._t_size before
 # anything is built.  tests/test_cli.py builds forests at this bound.
 MAX_CANONICAL_NODES = 10_000
+
+# Most nodes an emitted forest may write, at every nesting level, counted by
+# _written_size before anything is written.  A meet can write exponentially
+# more nodes than its operands hold: for the periodic chains of n colors
+# i mod 3 and 2i mod 3, n=30 writes 520,675 (0.3 s as a term, 2.4 s and
+# 257 MB as DOT, on a 2-CPU x86-64 host) and n=32 writes 1,293,291.
+MAX_WRITTEN_NODES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +91,10 @@ def load_space(value: str):
     for name, builder in (("chain", chain_space), ("antichain", antichain_space)):
         if text.startswith(name + ":"):
             digits = text[len(name) + 1:]
-            if not (digits.isascii() and digits.isdigit()):
+            if (not (digits.isascii() and digits.isdigit())
+                    or 0 < sys.get_int_max_str_digits() < len(digits)):  # int() limit
                 raise SpaceError(f"bad point count {digits[:20]!r}")
-            try:
-                n = int(digits)
-            except ValueError:  # longer than int() converts
-                raise SpaceError(f"bad point count {digits[:20]!r}") from None
-            return builder(n)
+            return builder(int(digits))
     return FiniteSpace.from_json(_loads(text))
 
 
@@ -118,20 +123,14 @@ def load_omega_base(value: str, space):
 def load_partition(value: str, k: int | None, forest: Forest):
     """The KPartition a forest is checked against; the forest's colors must
     be below k.  Without k, k is the fewest colors that admit both.  The
-    membership calls check its size against the space."""
-    from .space import KPartition
+    library reads the JSON, and the membership calls check its size."""
+    from .space import KPartition, _json_labels
 
-    data = _loads(_read_maybe_file(value).strip())
-    if not isinstance(data, dict) or "labels" not in data:
-        raise SpaceError("partition JSON must have 'labels'")
-    labels = data["labels"]
-    if not isinstance(labels, list) or any(
-            isinstance(c, bool) or not isinstance(c, int) for c in labels):
-        raise SpaceError("partition labels must be a list of colors")
+    labels = _json_labels(_loads(_read_maybe_file(value).strip()))
     if k is None:
         k = max(max(labels, default=0), max_color(forest)) + 1
     validate_forest(forest, k)
-    return KPartition(tuple(labels), k)
+    return KPartition(labels, k)
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +138,26 @@ def load_partition(value: str, k: int | None, forest: Forest):
 
 
 def emit_forest(f: Forest, mode: str):
-    """The forest as term or DOT text, or as the JSON value main prints."""
+    """The forest as term or DOT text, or as the JSON value main prints.
+    A forest that writes more than MAX_WRITTEN_NODES nodes is refused first."""
+    nodes = _written_size(f)
+    if nodes > MAX_WRITTEN_NODES:
+        raise ForestError(f"the output forest writes {nodes} nodes, "
+                          f"more than {MAX_WRITTEN_NODES}")
     if mode == "json":
         return forest_to_json(f)
     return print_term(f) if mode == "term" else forest_to_dot(f)
+
+
+def _written_size(f: Forest) -> int:
+    """The nodes f writes at every nesting level, a shared node once per
+    place it occurs: one postorder pass over its distinct nodes.  JSON
+    writes exactly these, term and DOT text no more."""
+    size: dict = {}
+    for t in postorder(f, True):
+        below = t.children if t.label.__class__ is int else t.label + t.children
+        size[t] = 1 + sum([size[c] for c in below])
+    return sum([size[t] for t in f])
 
 
 def forest_to_dot(f: Forest) -> str:

@@ -1,4 +1,4 @@
-"""The library's error classes, in one module that imports nothing.
+"""The library's error classes and count rule, in a module importing nothing.
 
 Each class is re-exported by the module whose inputs it reports on
 (``forest``, ``nested``, ``ordinal``, ``space``), so imports from there
@@ -29,3 +29,12 @@ class OrdinalSyntaxError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
+
+
+def check_count(n, what: str, error: type, least=None, low: str = "") -> int:
+    """n, if it is an int (a bool is not one) not below least, if given."""
+    if n.__class__ is not int:
+        raise error(f"{what} must be an integer, not {n!r}")
+    if least is not None and n < least:
+        raise error(low.format(n))
+    return n

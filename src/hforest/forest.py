@@ -29,7 +29,7 @@ import weakref
 from itertools import count
 from operator import attrgetter
 
-from .errors import ForestError
+from .errors import ForestError, check_count
 
 
 class Tree:
@@ -225,7 +225,8 @@ def max_color(f: Forest) -> int:
 
 
 def validate_forest(f: Forest, k: int) -> None:
-    """Check every color is < k; a forest with no color passes any k."""
+    """Check k is an int and every color is < k; a colorless forest passes."""
+    check_count(k, "the number of colors", ForestError)
     top = max_color(f)
     if top >= max(k, 0):
         raise ForestError(f"color {top} out of range for k={k}")

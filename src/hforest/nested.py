@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import TermSyntaxError
+from .errors import TermSyntaxError, check_count
 from .forest import (
     EMPTY,
     Forest,
@@ -109,10 +109,7 @@ def flatten(f: Forest, depth: int) -> LabeledNPreorder:
     depth) pairs whose preorder has at most MEMO_FLAT_ELEMENTS elements
     return one shared preorder; errors are raised afresh.
     """
-    if depth.__class__ is not int:
-        raise ForestError(f"depth must be an integer, not {depth!r}")
-    if depth < 1:
-        raise ForestError("depth must be positive")
+    check_count(depth, "depth", ForestError, 1, "depth must be positive")
     key = (as_forest(f), depth)
     x = _FLATS.get(key)
     if x is None:
@@ -396,6 +393,8 @@ def _parse(text: str) -> Forest:
 
 def print_term(f: Forest) -> str:
     """Render the normalized forest; parse_term inverts this exactly.
+    Its cost is the written size: a node shared in the graph of nodes is
+    written once per place it occurs.
 
     A normal form (a forest normalize returned) is not normalized again,
     and each of its roots is rendered once in its lifetime: its term waits

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import total_ordering
 
 from ._record import Record, set_field
-from .errors import ForestError, OrdinalSyntaxError
+from .errors import ForestError, OrdinalSyntaxError, check_count
 
 # parse_ordinal refuses a notation whose exponents nest deeper than this,
 # with the ForestError parse_term raises, before its recursion gets there.
@@ -84,9 +84,9 @@ OMEGA = Ord(((ONE, 1),))
 
 
 def ord_of(n: int) -> Ord:
-    """The notation for a natural number; ValueError if n is negative."""
-    if n < 0:
-        raise ValueError("ordinals are non-negative")
+    """The notation for a natural number.  ValueError if n is not an int
+    (a bool is not one), or if it is negative."""
+    check_count(n, "a finite ordinal", ValueError, 0, "ordinals are non-negative")
     return Ord() if n == 0 else Ord(((ZERO, n),))
 
 

@@ -26,6 +26,7 @@ from .forest import (
     Forest,
     as_forest,
     h_leq,
+    join,
     lift,
     node_ranks,
     normalize,
@@ -33,7 +34,7 @@ from .forest import (
     postorder,
     validate_forest,
 )
-from .errors import SpaceError
+from .errors import SpaceError, check_count
 from .nested import nesting_level, print_term
 
 POINT_LIMIT = 5
@@ -174,18 +175,17 @@ def _point_count(n) -> int:
 def check_size_guard(n_points: int, k: int) -> None:
     """Refuse a job that enumerates k ** n_points partitions past the
     limits, or that has no color to give a point."""
-    if k.__class__ is not int or k < 1:
-        raise _no_colors(k)
-    if n_points > POINT_LIMIT or k > COLOR_LIMIT:
+    _colors(k)
+    if _point_count(n_points) > POINT_LIMIT or k > COLOR_LIMIT:
         raise SpaceError(
             f"{n_points} points / {k} colors exceeds the limit "
             f"({POINT_LIMIT} points, {COLOR_LIMIT} colors)")
 
 
-def _no_colors(k) -> SpaceError:
-    """The error for a number of colors that is not an int of at least 1."""
-    need = "at least 1" if k.__class__ is int else "an integer"
-    return SpaceError(f"the number of colors must be {need}, not {k!r}")
+def _colors(k) -> int:
+    """k, if it is a number of colors: an int of at least 1."""
+    return check_count(k, "the number of colors", SpaceError, 1,
+                       "the number of colors must be at least 1, not {}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,9 @@ def powerset_base(space: FiniteSpace) -> Base:
 
 
 def complements(base: Base, n_points: int) -> Base:
-    full = (1 << n_points) - 1
+    """The complements of the base's sets in the space of n_points points.
+    SpaceError if n_points is not an int from 0 to MAX_SPACE_POINTS."""
+    full = (1 << _point_count(n_points)) - 1
     return frozenset(full & ~s for s in base)
 
 
@@ -269,9 +271,8 @@ def check_omega_nesting(levels: tuple, n_points: int) -> tuple:
     """Closed levels as an omega-base: each holds the last and its
     complements, and each below the last has no set outside the space."""
     for lower, upper in zip(levels, levels[1:]):
-        for s in lower:
-            if s >> n_points:
-                raise SpaceError(f"set {s:b} has points outside the space")
+        if (top := max(lower, default=0)) >> _point_count(n_points):
+            raise SpaceError(f"set {top:b} has points outside the space")
         if not (lower | complements(lower, n_points)) <= upper:
             raise SpaceError(
                 "omega-base level must contain the previous level and its complements"
@@ -321,8 +322,7 @@ class KPartition(Record):
     __slots__ = _fields = ("labels", "k")
 
     def __init__(self, labels: tuple, k: int):
-        if k.__class__ is not int or k < 1:
-            raise _no_colors(k)
+        _colors(k)
         if not all(c.__class__ is int and 0 <= c < k for c in labels):
             raise SpaceError("partition label out of range")
         set_field(self, "labels", labels)
@@ -337,17 +337,28 @@ class KPartition(Record):
 
     @staticmethod
     def from_json(data, k: int) -> "KPartition":
-        if not isinstance(data, dict) or "labels" not in data:
-            raise SpaceError("partition JSON must have 'labels'")
-        return KPartition(tuple(data["labels"]), k)
+        return KPartition(_json_labels(data), k)
 
     def to_json(self) -> dict:
         return {"labels": list(self.labels)}
 
 
+def _json_labels(data) -> tuple:
+    """The colors of a partition's JSON {"labels": [...]}, unchecked against k."""
+    if not isinstance(data, dict) or "labels" not in data:
+        raise SpaceError("partition JSON must have 'labels'")
+    labels = data["labels"]
+    if not isinstance(labels, list) or any(c.__class__ is not int for c in labels):
+        raise SpaceError("partition labels must be a list of colors")
+    return tuple(labels)
+
+
 def all_partitions(n_points: int, k: int):
-    for labels in product(range(k), repeat=n_points):
-        yield KPartition(labels, k)
+    """Every k-partition of the points, labels in lexicographic order.
+    SpaceError, at the call, if n_points is not an int from 0 to
+    MAX_SPACE_POINTS or k is not an int of at least 1 (a bool is neither)."""
+    return (KPartition(labels, k) for labels in
+            product(range(_colors(k)), repeat=_point_count(n_points)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +372,7 @@ def difference_kernel(alpha: int, sets) -> int:
     """
     sets = list(sets)
     if len(sets) != alpha:
-        raise SpaceError(f"expected {alpha} sets, got {len(sets)}")
+        raise SpaceError(f"expected {alpha!r} sets, got {len(sets)}")
     out = 0
     seen = 0
     for beta, a in enumerate(sets):
@@ -398,10 +409,7 @@ class PFamily(Record):
 
 def family_prefixes(forest: Forest, depth: int):
     """Yield (prefix, level, color or None); color set on full-depth prefixes."""
-    if depth.__class__ is not int:
-        raise SpaceError(f"depth must be an integer, not {depth!r}")
-    if depth < 1:
-        raise SpaceError("depth must be positive")
+    check_count(depth, "depth", SpaceError, 1, "depth must be positive")
     nesting = nesting_level(forest)
     if nesting > depth:
         raise SpaceError(f"nesting level {nesting} exceeds depth {depth}")
@@ -549,7 +557,7 @@ def fh_membership(a: KPartition, forest: Forest, omega_base,
             layers.append(labels := {})
             for t in postorder(trees):
                 labels[t.label] = lift(t.label)
-            trees = sum(labels.values(), ())
+            trees = join(*labels.values())
         for level in range(depth - 2, -1, -1):
             allowed, deeper = {}, allowed
             for label, lifted in layers[level].items():
@@ -566,8 +574,10 @@ def dh_membership(a: KPartition, forest: Forest, base: Base,
 
 def dh_witness_family(a: KPartition, forest: Forest, base: Base,
                       space: FiniteSpace) -> PFamily | None:
-    """The greatest family over the flat forest, if it defines the partition."""
+    """The greatest family over the flat forest, if it defines the partition.
+    ForestError if a color of the forest is not below the partition's k."""
     forest = as_forest(forest)
+    validate_forest(forest, a.k)
     sets, top = _greatest(forest, _classes(a, space.n), base)
     if top != space.full:
         return None

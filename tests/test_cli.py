@@ -11,8 +11,8 @@ import pytest
 
 import hforest.acceptance
 from hforest import nested, oracles
-from hforest.cli import (MAX_CANONICAL_NODES, VERBS, _build_parser,
-                         load_space, main)
+from hforest.cli import (MAX_CANONICAL_NODES, MAX_WRITTEN_NODES, VERBS,
+                         _build_parser, load_space, main)
 from hforest.forest import forest_from_json, h_equiv
 from hforest.nested import parse_term
 from hforest.space import MAX_SPACE_POINTS
@@ -430,6 +430,55 @@ def _outputs(call, timeout=60):
         call.communicate()
         raise
     return out.decode(), err.decode()
+
+
+def _meet_of_periodic_chains(n, emit):
+    """[exit code, stdout size, stderr, ru_maxrss in KB] of the CLI's meet of
+    the n-node chains of colors i mod 3 and 2i mod 3, a graph of a few
+    hundred nodes that writes exponentially many in n.  A wrapper child
+    runs the call, so that ru_maxrss is that call's alone."""
+    lhs = "*".join(str(i % 3) for i in range(n))
+    rhs = "*".join(str(2 * i % 3) for i in range(n))
+    wrapper = ("import json, resource, subprocess, sys\n"
+               "call = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+               "print(json.dumps([call.returncode, len(call.stdout), call.stderr,\n"
+               "    resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]))")
+    src = os.path.dirname(os.path.dirname(hforest.acceptance.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", wrapper, sys.executable, "-m", "hforest.cli",
+         "meet", "--lhs", lhs, "--rhs", rhs, "--emit", emit],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("emit", ["term", "json", "dot"])
+def test_a_forest_too_large_to_write_is_refused_before_it_is_written(emit):
+    # at n=40 the meet's 196 distinct nodes write 40,116,599
+    start = time.perf_counter()
+    code, size, err, maxrss = _meet_of_periodic_chains(40, emit)
+    assert time.perf_counter() - start < 5.0
+    assert (code, size) == (1, 0)
+    assert err == ("domain error: the output forest writes 40116599 nodes, "
+                   f"more than {MAX_WRITTEN_NODES}\n")
+    assert maxrss < 100 * 1024
+
+
+def test_the_written_size_counts_each_node_where_it_occurs():
+    # every_node lists a shared node once per place, at every nesting level
+    from hforest.cli import _written_size
+    from hforest.forest import every_node, meet
+
+    chains = [parse_term("*".join(str(i * m % 3) for i in range(20))) for m in (1, 2)]
+    for f in [*map(parse_term, ["bot", "0", "0*1|1", "s(0*1)*(s(0|1)|0)", T_BAR_52]),
+              meet(*chains)]:
+        assert _written_size(f) == len(every_node(f))
+    assert _written_size(meet(*chains)) == 6005
+
+
+def test_a_forest_below_the_written_size_bound_is_written():
+    # at n=30 the meet writes 520,675 nodes, a term of 1,410,859 characters
+    assert _meet_of_periodic_chains(30, "term")[:3] == [0, 1410860, ""]
 
 
 @pytest.mark.parametrize("verb, out", [

@@ -140,31 +140,49 @@ def test_the_text_slot_has_one_home():
 
 
 def test_the_input_checks_have_one_home():
-    # from_pairs checks the point count, as close_base does through the
-    # same _point_count, _no_colors words k below 1 for check_size_guard
-    # and KPartition, the membership calls a partition's size,
-    # validate_forest the colors, _is_bar the polarity of both canonical
-    # builders, and one writer draws both Hasse diagrams
+    # from_pairs checks the point count, as close_base and the other
+    # counts of points do through the same _point_count, errors.check_count
+    # is the one rule for every other count, _colors words k for
+    # check_size_guard, KPartition and all_partitions, _json_labels reads a
+    # partition's JSON for the library and the CLI, the membership calls
+    # check a partition's size, validate_forest the colors, _is_bar the
+    # polarity of both canonical builders, and one writer draws both Hasse
+    # diagrams
     import inspect
 
-    from hforest import canonical, nested, space
+    from hforest import canonical, forest, nested, ordinal, space
 
     package = pathlib.Path(hforest.__file__).parent
-    for text in ("MAX_SPACE_POINTS", "the point count must be",
-                 "the number of colors must be",
-                 "partition size does not match the space"):
+    for text, home in (("MAX_SPACE_POINTS", "space.py"),
+                       ("the point count must be", "space.py"),
+                       ("the number of colors must be", "space.py"),
+                       ("partition size does not match the space", "space.py"),
+                       ("partition JSON must have", "space.py"),
+                       ("must be a list of colors", "space.py"),
+                       ("must be an integer, not", "errors.py")):
         users = sorted(p.name for p in package.glob("*.py") if text in p.read_text())
-        assert users == ["space.py"], text
-    for func in (space.check_size_guard, space.KPartition.__init__):
-        assert "_no_colors" in _names(func.__code__), func.__qualname__
-    assert "_point_count" in _names(space.close_base.__code__)
+        assert users == [home], text
+    modules = [importlib.import_module(f"hforest.{p.stem}")
+               for p in package.glob("*.py") if p.stem != "__init__"]
+    functions = {func for m in modules for value in vars(m).values()
+                 for func in ([getattr(value, name) for name in vars(value)]
+                              if isinstance(value, type) else [value])
+                 if hasattr(func, "__code__")}
+    assert {func for func in functions if "check_count" in _names(func.__code__)} == {
+        space._colors, space.family_prefixes, forest.validate_forest,
+        nested.flatten, canonical.t_flat, canonical.classify_2tree_nested,
+        ordinal.ord_of}
+    for func in (space.check_size_guard, space.KPartition.__init__,
+                 space.all_partitions):
+        assert "_colors" in _names(func.__code__), func.__qualname__
+    for func in (space.close_base, space.complements, space.check_omega_nesting,
+                 space.all_partitions, space.check_size_guard):
+        assert "_point_count" in _names(func.__code__), func.__name__
+    assert "_json_labels" in _names(space.KPartition.from_json.__code__)
     for func in (canonical.t_flat, canonical.t_nested):
         assert "_is_bar" in _names(func.__code__), func.__name__
     assert list(inspect.signature(nested.parse_term).parameters) == ["text"]
-    modules = [importlib.import_module(f"hforest.{p.stem}")
-               for p in package.glob("*.py") if p.stem != "__init__"]
-    callers = {func for m in modules for func in vars(m).values()
-               if hasattr(func, "__code__") and "hasse_edges" in _names(func.__code__)}
+    callers = {func for func in functions if "hasse_edges" in _names(func.__code__)}
     assert callers == {space.hasse_dot}
 
 
@@ -285,6 +303,9 @@ def test_membership_has_one_entry_and_no_closure():
         assert not any(hasattr(c, "co_code") for c in func.__code__.co_consts), \
             func.__name__
         assert func.__name__ not in _names(func.__code__), func.__name__
+    # an inner level's trees are joined in one call: sum(..., ()) copies
+    # the tuple once per label, quadratic in the labels
+    assert "sum" not in _names(space.fh_membership.__code__)
 
 
 def test_nested_membership_makes_one_pass_per_inner_label(monkeypatch):
@@ -320,7 +341,68 @@ def _flat_only_family():
     return PFamily(parse_term("s(0)"), 2, {((0,),): 1, ((0,), (0,)): 1})
 
 
-@pytest.mark.parametrize("call, error, message", [
+# A 2-point chain, its two-level omega-base and a forest of colors 0 and 1,
+# as source text for the calls below
+CHAIN = "space.chain_space(2)"
+LEVELS = f"(space.up_sets({CHAIN}), space.powerset_base({CHAIN}))"
+FOREST = "nested.parse_term('0*1')"
+POINTS = "the point count must be a non-negative integer"
+COLORS = ("the number of colors must be an integer, not {}",
+          "the number of colors must be at least 1, not -1")
+LABELS = "partition labels must be a list of colors"
+
+# Every public call that takes a count or a partition's JSON, with {} for
+# the count: its error, its message for a str, a float or a bool ({} is the
+# value), and its message for -1.  classify_2tree_nested answers any int
+# bound, -1 included.
+HOSTILE_COUNTS = [
+    ("space.FiniteSpace({}, ())", "SpaceError", POINTS, POINTS),
+    ("space.FiniteSpace.from_pairs({}, [])", "SpaceError", POINTS, POINTS),
+    ("space.FiniteSpace.from_json({{'points': {}}})", "SpaceError", POINTS, POINTS),
+    ("space.chain_space({})", "SpaceError", POINTS, POINTS),
+    ("space.antichain_space({})", "SpaceError", POINTS, POINTS),
+    ("space.check_size_guard({}, 2)", "SpaceError", POINTS, POINTS),
+    ("space.check_size_guard(1, {})", "SpaceError", *COLORS),
+    ("space.close_base([1], {})", "SpaceError", POINTS, POINTS),
+    ("space.validate_base([0], {})", "SpaceError", POINTS, POINTS),
+    ("space.base_from_json([[0]], {})", "SpaceError", POINTS, POINTS),
+    ("space.complements(frozenset({{1}}), {})", "SpaceError", POINTS, POINTS),
+    ("space.validate_omega_base([[0]], {})", "SpaceError", POINTS, POINTS),
+    (f"space.check_omega_nesting({LEVELS}, {{}})", "SpaceError", POINTS, POINTS),
+    ("space.KPartition((0,), {})", "SpaceError", *COLORS),
+    ("space.KPartition.from_json({{'labels': {}}}, 2)", "SpaceError", LABELS, LABELS),
+    ("space.KPartition.from_json({{'labels': [{}]}}, 2)", "SpaceError", LABELS,
+     "partition label out of range"),
+    ("space.all_partitions({}, 2)", "SpaceError", POINTS, POINTS),
+    ("space.all_partitions(1, {})", "SpaceError", *COLORS),
+    ("space.difference_kernel({}, [1, 2])", "SpaceError", "expected {} sets, got 2",
+     "expected -1 sets, got 2"),
+    (f"space.PFamily({FOREST}, {{}}, {{{{}}}})", "SpaceError",
+     "depth must be an integer, not {}", "depth must be positive"),
+    (f"list(space.family_prefixes({FOREST}, {{}}))", "SpaceError",
+     "depth must be an integer, not {}", "depth must be positive"),
+    (f"space.hierarchy_report({CHAIN}, space.up_sets({CHAIN}), [{FOREST}], {{}})",
+     "ForestError", COLORS[0], "color 1 out of range for k=-1"),
+    (f"degrees.degree_poset({CHAIN}, {{}})", "SpaceError", *COLORS),
+    (f"forest.validate_forest({FOREST}, {{}})", "ForestError", COLORS[0],
+     "color 1 out of range for k=-1"),
+    (f"nested.flatten({FOREST}, {{}})", "ForestError",
+     "depth must be an integer, not {}", "depth must be positive"),
+    ("canonical.t_flat({})", "ForestError", "index must be an integer, not {}",
+     "index must be non-negative"),
+    (f"canonical.classify_2tree_nested({FOREST}, {{}})", "ForestError",
+     "the size bound must be an integer, not {}", None),
+    ("ordinal.ord_of({})", "ValueError", "a finite ordinal must be an integer, not {}",
+     "ordinals are non-negative"),
+]
+HOSTILE_ROWS = [(call.format(value), error, message.format(value))
+                for call, error, typed, negative in HOSTILE_COUNTS
+                for value, message in (("'2'", typed), ("2.5", typed),
+                                       ("True", typed), ("-1", negative))
+                if message is not None]
+
+
+@pytest.mark.parametrize("call, error, message", dict.fromkeys([  # one row per call
     ("space.base_from_json([[5]], 2)", "SpaceError", "point 5 out of range"),
     ("space.KPartition.from_json({}, 2)", "SpaceError",
      "partition JSON must have 'labels'"),
@@ -355,14 +437,46 @@ def _flat_only_family():
      "the point count must be a non-negative integer"),
     ("ordinal.Ord(((ordinal.ZERO, 0),))", "ValueError", "bad CNF term"),
     ("ordinal.pred(ordinal.ZERO)", "ValueError", "0 is not a successor"),
-])
+    # a count, a k or a partition's JSON that a call now reads through its one home
+    ("canonical.t_flat('3')", "ForestError", "index must be an integer, not '3'"),
+    ("canonical.t_flat(True)", "ForestError", "index must be an integer, not True"),
+    ("ordinal.ord_of('3')", "ValueError", "a finite ordinal must be an integer, not '3'"),
+    ("space.all_partitions(-1, 2)", "SpaceError", POINTS),
+    ("space.all_partitions(2, '2')", "SpaceError",
+     "the number of colors must be an integer, not '2'"),
+    ("space.complements(frozenset({1}), -1)", "SpaceError", POINTS),
+    ("space.complements(frozenset({1}), 1.5)", "SpaceError", POINTS),
+    (f"space.check_omega_nesting({LEVELS}, -1)", "SpaceError", POINTS),
+    ("space.check_size_guard('2', 2)", "SpaceError", POINTS),
+    (f"forest.validate_forest({FOREST}, None)", "ForestError",
+     "the number of colors must be an integer, not None"),
+    (f"forest.validate_forest({FOREST}, 2.5)", "ForestError",
+     "the number of colors must be an integer, not 2.5"),
+    (f"space.hierarchy_report({CHAIN}, space.up_sets({CHAIN}), [{FOREST}], '2')",
+     "ForestError", "the number of colors must be an integer, not '2'"),
+    ("space.KPartition.from_json({'labels': 5}, 2)", "SpaceError", LABELS),
+    (f"space.dh_witness_family(space.KPartition((0, 1), 2), nested.parse_term('0*5'),"
+     f" space.up_sets({CHAIN}), {CHAIN})", "ForestError", "color 5 out of range for k=2"),
+    # a partition that does not fit its space, for every call that takes one
+    (f"space.dh_membership(space.KPartition((0,), 2), {FOREST}, space.up_sets({CHAIN}),"
+     f" {CHAIN})", "SpaceError", "partition size does not match the space"),
+    (f"space.dh_witness_family(space.KPartition((0,), 2), {FOREST},"
+     f" space.up_sets({CHAIN}), {CHAIN})", "SpaceError",
+     "partition size does not match the space"),
+    (f"space.fh_membership(space.KPartition((0,), 2), {FOREST}, {LEVELS}, {CHAIN})",
+     "SpaceError", "partition size does not match the space"),
+    (f"degrees.wadge_leq(space.KPartition((0,), 2), space.KPartition((0, 1), 2),"
+     f" {CHAIN})", "SpaceError", "partition size does not match its space"),
+    *HOSTILE_ROWS,
+]))
 def test_the_library_refuses_with_its_own_errors(call, error, message):
     # each public call refuses a hostile value of its documented type with
     # the library's error, or the ValueError its docstring names
-    from hforest import canonical, errors, nested, ordinal, space
+    from hforest import canonical, degrees, errors, forest, nested, ordinal, space
 
-    scope = {"canonical": canonical, "nested": nested, "ordinal": ordinal,
-             "space": space, "_flat_only_family": _flat_only_family}
+    scope = {"canonical": canonical, "degrees": degrees, "forest": forest,
+             "nested": nested, "ordinal": ordinal, "space": space,
+             "_flat_only_family": _flat_only_family}
     with pytest.raises(ValueError, match=re.escape(message)) as caught:
         eval(call, scope)
     assert type(caught.value) is getattr(errors, error, ValueError)
