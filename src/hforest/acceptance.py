@@ -195,7 +195,7 @@ def a4_difference_oracle(max_points: int = 4, max_n: int = 3):
     """Chain-forest definability coincides with the difference-kernel image."""
     checked = 0
     for sp in oracles.all_posets_up_to(max_points):
-        base = frozenset(up_sets(sp))
+        base = up_sets(sp)
         for n in range(max_n + 1):
             chain = (canonical.t_flat(n),)
             images = {space.difference_kernel(n, seq)

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 from .errors import ForestError, OrdinalSyntaxError, SpaceError, TermSyntaxError
 from .forest import (Forest, forest_from_json, forest_to_json, h_leq, join,
-                     max_color, meet, normalize, paths, postorder,
+                     max_color, meet, normalize, postorder,
                      validate_forest)
 from .nested import flatten, nesting_level, parse_term, print_term
 
@@ -163,13 +163,13 @@ def _written_size(f: Forest) -> int:
 def forest_to_dot(f: Forest) -> str:
     """One DOT node per forest node, labeled by its color or label term."""
     lines = ["digraph forest {", "  rankdir=BT;"]
-    ids: dict = {}
-    for n, (path, t) in enumerate(paths(f)):
-        ids[path] = n
+    stack = [None, *[(t, None) for t in reversed(f)]]  # None ends the preorder
+    for n, (t, parent) in enumerate(iter(stack.pop, None)):  # parent: its DOT id
         text = str(t.label) if isinstance(t.label, int) else print_term(t.label)
         lines.append(f'  n{n} [label="{text}"];')
-        if len(path) > 1:
-            lines.append(f"  n{n} -> n{ids[path[:-1]]};")
+        if parent is not None:
+            lines.append(f"  n{n} -> n{parent};")
+        stack += [(c, n) for c in reversed(t.children)]
     lines.append("}")
     return "\n".join(lines)
 

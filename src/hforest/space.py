@@ -40,6 +40,8 @@ from .nested import nesting_level, print_term
 POINT_LIMIT = 5
 COLOR_LIMIT = 4
 MAX_BASE_SETS = 1 << 12
+_SINGLETONS = tuple(tuple(1 << p for p in range(n))  # the least opens of each powerset
+                    for n in range(MAX_BASE_SETS.bit_length()))
 # Most points from_pairs builds a space on, as closing one is super-quadratic
 # in them: chain_space(512) takes about 17 ms on a 2-CPU x86-64 host under
 # CPython 3.11.  chain_space(400) is the largest space in tests/ and benchmarks/.
@@ -192,7 +194,8 @@ def _colors(k) -> int:
 # bases
 
 
-Base = frozenset  # frozenset[int]
+class Base(frozenset):  # a closed base, made by _unions and powerset_base
+    __slots__ = ("opens",)  # its least opens: each of its sets is a union of them
 
 
 def close_base(seed, n_points: int) -> Base:
@@ -228,12 +231,16 @@ def _unions(sets) -> Base:
         joins |= {s | j for j in joins}
         if len(joins) > MAX_BASE_SETS:
             raise SpaceError(f"the closed base exceeds {MAX_BASE_SETS} sets")
-    return frozenset(joins)
+    base = Base(joins)
+    base.opens = sets
+    return base
 
 
 def validate_base(family, n_points: int) -> Base:
-    base = frozenset(family)
-    if close_base(base, n_points) != base:
+    """A Base as it is, or the family closed if closing leaves it unchanged."""
+    if family.__class__ is Base:
+        return family
+    if (base := close_base(family := frozenset(family), n_points)) != family:
         raise SpaceError("family is not closed under union/intersection")
     return base
 
@@ -252,7 +259,9 @@ def powerset_base(space: FiniteSpace) -> Base:
     if 1 << space.n > MAX_BASE_SETS:
         raise SpaceError(
             f"the powerset of {space.n} points exceeds {MAX_BASE_SETS} sets")
-    return frozenset(range(space.full + 1))
+    base = Base(range(space.full + 1))
+    base.opens = _SINGLETONS[space.n]
+    return base
 
 
 def complements(base: Base, n_points: int) -> Base:
@@ -268,12 +277,15 @@ def validate_omega_base(levels, n_points: int) -> tuple:
 
 
 def check_omega_nesting(levels: tuple, n_points: int) -> tuple:
-    """Closed levels as an omega-base: each holds the last and its
-    complements, and each below the last has no set outside the space."""
-    for lower, upper in zip(levels, levels[1:]):
-        if (top := max(lower, default=0)) >> _point_count(n_points):
+    """Levels as an omega-base: in the space, each level and the next closed
+    (validate_base), and the next holding each least open of the level, and
+    0, with its complement.  A level alone is returned as given."""
+    full = (1 << _point_count(n_points)) - 1
+    for lo, hi in zip(levels, levels[1:]):  # a level and the next
+        opens, hi = validate_base(lo, n_points).opens, validate_base(hi, n_points)
+        if top := next((o for o in opens if o >> n_points), 0):
             raise SpaceError(f"set {top:b} has points outside the space")
-        if not (lower | complements(lower, n_points)) <= upper:
+        if not all(o in hi and full & ~o in hi for o in (0, *opens)):
             raise SpaceError(
                 "omega-base level must contain the previous level and its complements"
             )
@@ -511,8 +523,8 @@ def _classes(a: KPartition, n_points: int) -> dict:
 
 
 def _greatest(forest: Forest, allowed: dict, base: Base) -> tuple:
-    """The greatest family whose new parts lie in allowed, by label: each
-    distinct tree's set, and the union of the sets."""
+    """The greatest family of the Base's sets whose new parts lie in
+    allowed, by label: each distinct tree's set, and the union of the sets."""
     sets, top = {}, 0
     for t in postorder(forest):
         x = allowed.get(t.label)
@@ -522,13 +534,11 @@ def _greatest(forest: Forest, allowed: dict, base: Base) -> tuple:
             x = 0
         for c in t.children:
             x |= sets[c]
-        if x not in base:  # take the union of the base sets inside x
+        if x not in base:  # the union of the base sets inside x, from the least opens
             inside = 0
-            for b in base:
-                if b | x == x:
-                    inside |= b
-            if inside not in base:
-                raise SpaceError("the base is not closed under union")
+            for o in base.opens:
+                if o | x == x:
+                    inside |= o
             x = inside
         sets[t] = x
         top |= x
@@ -539,10 +549,10 @@ def fh_membership(a: KPartition, forest: Forest, omega_base,
                   space: FiniteSpace) -> bool:
     """Is the partition definable by a family over the omega-base?
 
-    The levels must be closed, and the levels the forest reaches must
-    each hold the last and its complements (check_omega_nesting).  Each
-    level is one greedy pass per label, deepest first: a label allows the
-    union of its greatest family one level down.
+    The levels the forest reaches must be closed (validate_base), and
+    each must hold the last and its complements (check_omega_nesting).
+    Each level is one greedy pass per label, deepest first: a label allows
+    the union of its greatest family one level down.
     """
     allowed = _classes(a, space.n)
     forest = as_forest(forest)
@@ -550,8 +560,9 @@ def fh_membership(a: KPartition, forest: Forest, omega_base,
     if depth > len(omega_base):
         raise SpaceError(
             f"nesting level {depth} exceeds the {len(omega_base)}-level base")
+    omega_base = list(map(validate_base, omega_base[:depth], [space.n] * depth))
     if depth > 1:  # a flat call builds no layers and checks no nesting
-        check_omega_nesting(omega_base[:depth], space.n)
+        check_omega_nesting(omega_base, space.n)
         layers, trees = [], forest  # per inner level: each label -> its forest
         for _ in range(depth - 1):
             layers.append(labels := {})
@@ -568,8 +579,8 @@ def fh_membership(a: KPartition, forest: Forest, omega_base,
 def dh_membership(a: KPartition, forest: Forest, base: Base,
                   space: FiniteSpace) -> bool:
     """Is the partition definable by a family of base sets over the flat forest?"""
-    _, top = _greatest(as_forest(forest), _classes(a, space.n), base)
-    return top == space.full
+    return _greatest(as_forest(forest), _classes(a, space.n),
+                     validate_base(base, space.n))[1] == space.full
 
 
 def dh_witness_family(a: KPartition, forest: Forest, base: Base,
@@ -578,7 +589,7 @@ def dh_witness_family(a: KPartition, forest: Forest, base: Base,
     ForestError if a color of the forest is not below the partition's k."""
     forest = as_forest(forest)
     validate_forest(forest, a.k)
-    sets, top = _greatest(forest, _classes(a, space.n), base)
+    sets, top = _greatest(forest, _classes(a, space.n), validate_base(base, space.n))
     if top != space.full:
         return None
     return PFamily(forest, 1, {(path,): sets[t] for path, t in paths(forest)})
@@ -655,9 +666,9 @@ def reduce_pair(a: int, b: int, base: Base):
 def has_reduction_property(base: Base) -> bool:
     """Does every pair of sets of the closed base have a reduction?
 
-    The base must be closed (every caller passes one), so each point p of
-    its sets has a least open O_p in it, and the answer is whether any two
-    least opens are disjoint or nested:
+    The base must be closed (validate_base refuses one that is not), so
+    each point p of its sets has a least open O_p in it, and the answer is
+    whether any two least opens are disjoint or nested:
     - If O_p and O_q overlap and neither holds the other, then p is not in
       O_q and q is not in O_p, so a reduction of (O_p, O_q) keeps p on the
       first side and q on the second, and with them their least opens:
@@ -670,7 +681,7 @@ def has_reduction_property(base: Base) -> bool:
       union of its points' least opens, a base set, and (a2, rest) is a
       reduction of (a, b).
     """
-    opens = _least_opens(base, max(base, default=0).bit_length())
+    opens = validate_base(base, MAX_SPACE_POINTS).opens
     return all(x & y in (0, x, y) for x, y in combinations(opens, 2))
 
 
@@ -699,8 +710,10 @@ def reduce_family(fam: PFamily, base: Base, space: FiniteSpace) -> PFamily:
     """
     if fam.depth != 1:
         raise SpaceError("reduce_family is implemented for flat families")
-    if not has_reduction_property(base):
+    if not has_reduction_property(base := validate_base(base, space.n)):
         raise SpaceError("base lacks the reduction property")
+    if not base.issuperset(fam.sets.values()):
+        raise SpaceError("family set is not in the base")
     below = _unions_below(fam.sets)
     sets = {pfx: mask | below.get(pfx, 0) for pfx, mask in fam.sets.items()}
     groups: dict = {}
@@ -712,10 +725,7 @@ def reduce_family(fam: PFamily, base: Base, space: FiniteSpace) -> PFamily:
                 sets[p] &= sets[key]
         for p, q in combinations(group, 2):  # a reduced pair only shrinks
             if sets[p] & sets[q]:
-                pair = reduce_pair(sets[p], sets[q], base)
-                if pair is None:  # has_reduction_property reads a closed base
-                    raise SpaceError("the base is not closed under union/intersection")
-                sets[p], sets[q] = pair
+                sets[p], sets[q] = reduce_pair(sets[p], sets[q], base)
     return PFamily(fam.forest, 1, sets)
 
 

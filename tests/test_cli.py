@@ -1,5 +1,6 @@
 """Command-line interface, exercised in process via main(argv)."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -474,6 +475,18 @@ def test_the_written_size_counts_each_node_where_it_occurs():
               meet(*chains)]:
         assert _written_size(f) == len(every_node(f))
     assert _written_size(meet(*chains)) == 6005
+
+
+def test_dot_of_a_shared_meet_keeps_its_text(capsys):
+    # the meet of the 20-node periodic chains shares its nodes, so DOT
+    # writes each once per place: SHA-256 computed when the ids were kept
+    # in a dict keyed by every node's path
+    lhs = "*".join(str(i % 3) for i in range(20))
+    rhs = "*".join(str(2 * i % 3) for i in range(20))
+    code, out, err = run(capsys, "meet", "--lhs", lhs, "--rhs", rhs, "--emit", "dot")
+    assert (code, len(out), err) == (0, 230861, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "70d023cfba8e8047c7dc415902c346dc81a7003f059e8010aa44704f363c3721")
 
 
 def test_a_forest_below_the_written_size_bound_is_written():

@@ -216,11 +216,35 @@ def test_a_bases_order_is_read_from_the_least_opens():
     # verdict may never run reduce_pair
     from hforest import oracles, space
 
-    for func in (space.close_base, space.has_reduction_property):
-        assert "_least_opens" in _names(func.__code__), func.__name__
+    assert "_least_opens" in _names(space.close_base.__code__)
+    assert {"validate_base", "opens"} <= _names(space.has_reduction_property.__code__)
     assert space._least_opens([0b011, 0b110], 3) == {0b011, 0b010, 0b110}
     assert "reduce_pair" not in _names(space.has_reduction_property.__code__)
     assert "reduce_pair" in _names(oracles.oracle_reduction_property.__code__)
+
+
+def test_a_closed_base_has_one_check():
+    # validate_base passes a Base as it is and closes any other family, so
+    # it alone words the refusal; every reader of a base takes it through
+    # validate_base, the membership pass and the order read its least
+    # opens, and reduce_pair and A7's authority still scan its sets
+    import inspect
+
+    from hforest import oracles, space
+
+    package = pathlib.Path(hforest.__file__).parent
+    message = "not closed under"
+    assert sum(p.read_text().count(message) for p in package.glob("*.py")) == 1
+    assert message in inspect.getsource(space.validate_base)
+    for func in (space.dh_membership, space.dh_witness_family, space.fh_membership,
+                 space.has_reduction_property, space.reduce_family,
+                 space.check_omega_nesting):
+        assert "validate_base" in _names(func.__code__), func.__name__
+    for func in (space._greatest, space.has_reduction_property,
+                 space.check_omega_nesting):
+        assert "opens" in _names(func.__code__), func.__name__
+    for func in (space.reduce_pair, oracles.oracle_reduction_property):
+        assert "opens" not in _names(func.__code__), func.__name__
 
 
 def test_the_authority_stays_off_the_fast_path():
@@ -350,6 +374,8 @@ POINTS = "the point count must be a non-negative integer"
 COLORS = ("the number of colors must be an integer, not {}",
           "the number of colors must be at least 1, not -1")
 LABELS = "partition labels must be a list of colors"
+CLOSED = "family is not closed under union/intersection"
+UNCLOSED = "frozenset({0, 0b01, 0b10, 0b110})"  # lacks 0b11 and 0b111
 
 # Every public call that takes a count or a partition's JSON, with {} for
 # the count: its error, its message for a str, a float or a bool ({} is the
@@ -467,6 +493,19 @@ HOSTILE_ROWS = [(call.format(value), error, message.format(value))
      "SpaceError", "partition size does not match the space"),
     (f"degrees.wadge_leq(space.KPartition((0,), 2), space.KPartition((0, 1), 2),"
      f" {CHAIN})", "SpaceError", "partition size does not match its space"),
+    # a family that is no closed base, refused by validate_base for any
+    # partition, and a family set outside its base
+    ("space.has_reduction_property(frozenset({0b11, 0b01}))", "SpaceError", CLOSED),
+    (f"space.dh_membership(space.KPartition((1, 1, 1), 2), nested.parse_term('0'),"
+     f" {UNCLOSED}, space.antichain_space(3))", "SpaceError", CLOSED),
+    (f"space.fh_membership(space.KPartition((1, 1, 1), 2), nested.parse_term('0'),"
+     f" ({UNCLOSED},), space.antichain_space(3))", "SpaceError", CLOSED),
+    (f"space.dh_membership(space.KPartition((0, 1), 2), {FOREST},"
+     f" frozenset({{0, 0b10, 0b11, 0b111}}), {CHAIN})", "SpaceError",
+     "set 111 has points outside the space"),
+    (f"space.reduce_family(space.PFamily(nested.parse_term('0|1'), 1,"
+     f" {{((0,),): 0b01, ((1,),): 0b10}}), space.up_sets({CHAIN}), {CHAIN})",
+     "SpaceError", "family set is not in the base"),
     *HOSTILE_ROWS,
 ]))
 def test_the_library_refuses_with_its_own_errors(call, error, message):

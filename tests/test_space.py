@@ -851,6 +851,37 @@ def test_fh_membership_keeps_its_answers():
     assert (digest, queries) == SAME_ANSWERS_SHA256, seconds
 
 
+# SHA-256 of the answers below and their count, computed when _greatest
+# scanned a base's sets and reduce_family checked reduce_pair's answer;
+# any change to the witness or the reduction must keep it
+SAME_REDUCTIONS_SHA256 = (
+    "448c623ca0fcf01960f980bbbef0c2b255c940861ac1ab0e956ef845d812018f", 2324)
+
+
+def test_witnesses_and_reductions_keep_their_answers():
+    """Every dh_witness_family answer, with reduce_family's answer or
+    refusal on each witness, in a fixed order, over A7's fast corpus: every
+    poset of at most 3 points with up_sets and powerset_base, every normal
+    flat forest of at most 3 nodes in 2 colors and every 2-partition."""
+    forests = oracles.normalized_corpus(oracles.flat_forests(3, 2, include_empty=False))
+    digest, queries = hashlib.sha256(), 0
+    for sp in oracles.all_posets_up_to(3):
+        for base in (up_sets(sp), powerset_base(sp)):
+            for f in forests:
+                for a in all_partitions(sp.n, 2):
+                    fam = dh_witness_family(a, f, base, sp)
+                    answer = "-"
+                    if fam is not None:
+                        try:
+                            reduced = repr(sorted(reduce_family(fam, base, sp).sets.items()))
+                        except SpaceError as error:
+                            reduced = str(error)
+                        answer = f"{sorted(fam.sets.items())!r} {reduced}"
+                    digest.update(answer.encode() + b"\n")
+                    queries += 1
+    assert (digest.hexdigest(), queries) == SAME_REDUCTIONS_SHA256
+
+
 def test_diff_sequence_round_trip():
     chain = chain_space(2)
     base = up_sets(chain)
